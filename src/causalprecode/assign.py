@@ -246,6 +246,11 @@ def multidim_assignment(cost) -> Assignment:
     return Assignment(tuples=tuples, total_cost=total)
 
 
+def assign(costs: CostTensor) -> Assignment:
+    """Optimal integral assignment: Hungarian for Q = 2, branch and bound otherwise."""
+    return hungarian(costs.values) if costs.q == 2 else multidim_assignment(costs)
+
+
 def assignment_rate(
     a: Assignment, spec: ChannelSpec, grid: QuadratureGrid | None = None
 ) -> float:

@@ -129,10 +129,7 @@ def sweep_point(
     lp = _optimize.solve_uniform_lp(costs, point, grid)
     rates: dict[str, float] = {}
     if ids is None:
-        if point.q == 2:
-            a = _assign.hungarian(costs.values)
-        else:
-            a = _assign.multidim_assignment(costs)
+        a = _assign.assign(costs)
         rates[assignment_id(a.tuples)] = _assign.assignment_rate(a, point, grid)
     else:
         for aid in ids:
@@ -231,10 +228,7 @@ def _cmd_assign(args) -> int:
     spec = load_spec(args.specfile)
     grid = _entropy.quadrature_grid(spec)
     costs = _entropy.cost_tensor(spec, grid)
-    if spec.q == 2:
-        a = _assign.hungarian(costs.values)
-    else:
-        a = _assign.multidim_assignment(costs)
+    a = _assign.assign(costs)
     rate = _assign.assignment_rate(a, spec, grid)
     print(f"assignment ({assignment_id(a.tuples)}), total cost {_fmt(a.total_cost)} nats")
     print(f"rate bits: {_fmt(rate)}")

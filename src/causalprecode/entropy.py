@@ -4,7 +4,9 @@ Given an associated symbol t = (i_1, ..., i_Q), the channel output density is
 the Gaussian mixture sum_j r_j phi(y - x_{i_j} - s_j; P_N). This module
 evaluates that likelihood, the output density induced by per-state marginals,
 the tensor of conditional differential entropies h_{i_1...i_Q}, and
-I(T;Y) = h(Y) - sum_t p(t) h_t.
+I(T;Y) = h(Y) - sum_t p(t) h_t. Every density is a sum over one component
+table r_j phi(y - x_i - s_j), and every entropy one weighted reduction of
+density samples.
 
 All internal entropies are in nats; conversion to bits happens only at API
 boundaries.
@@ -28,6 +30,9 @@ _PDF_FLOOR = 1e-300
 
 # Integration window extends this many noise sigmas beyond the extreme means.
 _WINDOW_SIGMAS = 10.0
+
+# Symbols whose densities are reduced to entropies at once.
+_BLOCK = 4096
 
 
 def gaussian_entropy(variance: float) -> float:
@@ -67,12 +72,18 @@ def _grid_nodes(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def quadrature_grid(spec: ChannelSpec, nodes_per_panel: int = 32) -> QuadratureGrid:
-    """Default grid for a spec: panel width sigma/2 over the means +- 10 sigma."""
+def output_window(spec: ChannelSpec) -> tuple[float, float]:
+    """Output range [lo, hi]: the extreme means widened by 10 noise sigmas."""
     sigma = _sigma(spec)
     lo = min(spec.constellation) + min(spec.interference_levels) - _WINDOW_SIGMAS * sigma
     hi = max(spec.constellation) + max(spec.interference_levels) + _WINDOW_SIGMAS * sigma
-    panels = max(1, math.ceil((hi - lo) / (sigma / 2.0)))
+    return lo, hi
+
+
+def quadrature_grid(spec: ChannelSpec, nodes_per_panel: int = 32) -> QuadratureGrid:
+    """Default grid for a spec: panel width sigma/2 over the output window."""
+    lo, hi = output_window(spec)
+    panels = max(1, math.ceil((hi - lo) / (_sigma(spec) / 2.0)))
     return QuadratureGrid(lo, hi, panels, nodes_per_panel)
 
 
@@ -91,12 +102,21 @@ def _check_symbol(t: AssociatedSymbol, spec: ChannelSpec) -> tuple[int, ...]:
     return t
 
 
-def symbol_means(t: AssociatedSymbol, spec: ChannelSpec) -> np.ndarray:
-    """Mixture component means x_{i_j} + s_j for symbol t."""
-    t = _check_symbol(t, spec)
+def _components(spec: ChannelSpec, y) -> np.ndarray:
+    """Component table g[..., i, j] = r_j phi(y - x_i - s_j; P_N), shape y.shape + (M, Q).
+
+    Every noisy-channel density in the package is a sum over this table.
+    """
+    sigma = _sigma(spec)
     x = np.asarray(spec.constellation)
     s = np.asarray(spec.interference_levels)
-    return x[np.array(t) - 1] + s
+    r = np.asarray(spec.interference_probs)
+    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    z = (np.asarray(y, dtype=float)[..., None, None] - (x[:, None] + s[None, :])) / sigma
+    g = np.exp(-0.5 * z * z, out=z)  # reuses z: the table can be large
+    g *= norm
+    g *= r
+    return g
 
 
 def mixture_pdf(t: AssociatedSymbol, y, spec: ChannelSpec):
@@ -104,38 +124,32 @@ def mixture_pdf(t: AssociatedSymbol, y, spec: ChannelSpec):
 
     `y` may be a scalar or ndarray; returns the same shape.
     """
-    sigma = _sigma(spec)
-    means = symbol_means(t, spec)
-    r = np.asarray(spec.interference_probs)
-    y = np.asarray(y, dtype=float)
-    z = (y[..., None] - means) / sigma
-    dens = (r * np.exp(-0.5 * z * z)).sum(axis=-1) / (sigma * math.sqrt(2.0 * math.pi))
+    t = _check_symbol(t, spec)
+    dens = _components(spec, y)[..., np.array(t) - 1, np.arange(spec.q)].sum(axis=-1)
     return dens if dens.shape else float(dens)
 
 
 def output_pdf(marginals: MarginalSet, y, spec: ChannelSpec):
     """Output density sum_q r_q sum_i marginals[q][i] phi(y - x_i - s_q)."""
-    sigma = _sigma(spec)
     if marginals.m != spec.m or marginals.q != spec.q:
         raise ValueError("marginal shape does not match the channel spec")
-    x = np.asarray(spec.constellation)
-    s = np.asarray(spec.interference_levels)
-    r = np.asarray(spec.interference_probs)
-    w = (r[:, None] * marginals.per_state).reshape(-1)  # weight of mean x_i + s_q
-    means = (s[:, None] + x[None, :]).reshape(-1)
-    y = np.asarray(y, dtype=float)
-    z = (y[..., None] - means) / sigma
-    dens = (w * np.exp(-0.5 * z * z)).sum(axis=-1) / (sigma * math.sqrt(2.0 * math.pi))
+    g = _components(spec, y)
+    dens = g.reshape(g.shape[:-2] + (-1,)) @ marginals.per_state.T.reshape(-1)
     return dens if dens.shape else float(dens)
 
 
-def _entropy_from_samples(p: np.ndarray, weights: np.ndarray) -> float:
-    """-integral p ln p from density samples on the grid, 0 ln 0 taken as 0."""
-    if not np.all(np.isfinite(p)):
+def _entropy_from_samples(p: np.ndarray, weights: np.ndarray) -> np.ndarray | float:
+    """-integral p ln p from density samples on the grid, 0 ln 0 taken as 0.
+
+    `p` holds one density per column (or is a single 1-D density); all
+    columns reduce in one product with the quadrature weights.
+    """
+    p_ln_p = np.log(p, out=np.zeros_like(p), where=p > _PDF_FLOOR)
+    p_ln_p *= p
+    h = -(weights @ p_ln_p)
+    if not np.all(np.isfinite(h)):
         raise ValueError("pdf produced non-finite values on the grid")
-    safe = np.where(p > _PDF_FLOOR, p, 1.0)
-    integrand = np.where(p > _PDF_FLOOR, -p * np.log(safe), 0.0)
-    return float(np.dot(weights, integrand))
+    return h
 
 
 def integrate(pdf, grid: QuadratureGrid) -> float:
@@ -152,7 +166,7 @@ def differential_entropy(pdf, grid: QuadratureGrid) -> float:
     """
     nodes, weights = _grid_nodes(grid)
     p = np.asarray(pdf(nodes), dtype=float)
-    return _entropy_from_samples(p, weights)
+    return float(_entropy_from_samples(p, weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,48 +196,49 @@ class CostTensor:
         return float(self.values[tuple(i - 1 for i in symbol)])
 
 
-def _mixture_matrix(
-    spec: ChannelSpec, nodes: np.ndarray, ranks: np.ndarray
-) -> np.ndarray:
-    """Densities of the mixtures for the symbols with the given flat ranks.
+def _mixture_matrix(g: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Densities of the symbols with the given flat ranks, from a component table.
 
-    Returns shape (len(nodes), len(ranks)). Column order follows `ranks`.
+    `g` has shape (N, M, Q); returns shape (N, len(ranks)), columns in `ranks` order.
     """
-    sigma = _sigma(spec)
-    x = np.asarray(spec.constellation)
-    s = np.asarray(spec.interference_levels)
-    r = np.asarray(spec.interference_probs)
-    # digits[k, j] = i_j - 1 for the k-th requested symbol
-    digits = np.empty((len(ranks), spec.q), dtype=np.int64)
-    rem = np.asarray(ranks, dtype=np.int64).copy()
-    for j in range(spec.q - 1, -1, -1):
-        digits[:, j] = rem % spec.m
-        rem //= spec.m
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-    # gauss[n, i, j] = phi(node_n - x_i - s_j)
-    z = (nodes[:, None, None] - (x[None, :, None] + s[None, None, :])) / sigma
-    gauss = norm * np.exp(-0.5 * z * z)
-    dens = np.zeros((len(nodes), len(ranks)))
-    for j in range(spec.q):
-        dens += r[j] * gauss[:, digits[:, j], j]
+    m, q = g.shape[-2:]
+    digits = np.unravel_index(ranks, (m,) * q)
+    dens = g[:, digits[0], 0]
+    for j in range(1, q):
+        dens += g[:, digits[j], j]
     return dens
+
+
+def _symbol_entropies(
+    spec: ChannelSpec, grid: QuadratureGrid, ranks: np.ndarray
+) -> np.ndarray:
+    """Output entropy h_t in nats of each symbol with the given flat ranks.
+
+    One component table serves all symbols; densities are reduced in blocks
+    of _BLOCK columns to bound memory.
+    """
+    nodes, weights = _grid_nodes(grid)
+    g = _components(spec, nodes)
+    out = np.empty(len(ranks))
+    for start in range(0, len(ranks), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        out[block] = _entropy_from_samples(_mixture_matrix(g, ranks[block]), weights)
+    return out
 
 
 def cost_tensor(spec: ChannelSpec, grid: QuadratureGrid | None = None) -> CostTensor:
     """Differential entropy of the output for every associated symbol."""
     if grid is None:
         grid = quadrature_grid(spec)
-    nodes, weights = _grid_nodes(grid)
-    n = spec.num_symbols
-    values = np.empty(n)
-    floor = gaussian_entropy(spec.noise_power) - 1e-9
-    for start in range(0, n, 4096):
-        ranks = np.arange(start, min(start + 4096, n))
-        dens = _mixture_matrix(spec, nodes, ranks)
-        for k, rank in enumerate(ranks):
-            values[rank] = _entropy_from_samples(dens[:, k], weights)
-    # A mixture's entropy is at least its component entropy.
-    assert values.min() >= floor, "cost tensor below the Gaussian floor"
+    values = _symbol_entropies(spec, grid, np.arange(spec.num_symbols))
+    # A mixture's entropy is at least its component entropy; falling below
+    # it means the grid does not cover the densities.
+    floor = gaussian_entropy(spec.noise_power)
+    if values.min() < floor - 1e-9:
+        raise ValueError(
+            f"cost tensor entry {values.min():.6g} below the Gaussian floor "
+            f"{floor:.6g}; the quadrature grid does not cover the output"
+        )
     return CostTensor(values.reshape((spec.m,) * spec.q))
 
 
@@ -238,13 +253,16 @@ def conditional_output_entropy(
         return float(np.dot(p.probs, costs.values.reshape(-1)))
     if grid is None:
         grid = quadrature_grid(spec)
-    nodes, weights = _grid_nodes(grid)
     ranks = np.nonzero(p.probs > 0.0)[0]
-    dens = _mixture_matrix(spec, nodes, ranks)
-    total = 0.0
-    for k, rank in enumerate(ranks):
-        total += float(p.probs[rank]) * _entropy_from_samples(dens[:, k], weights)
-    return total
+    return float(np.dot(p.probs[ranks], _symbol_entropies(spec, grid, ranks)))
+
+
+def output_entropy(
+    marginals: MarginalSet, spec: ChannelSpec, grid: QuadratureGrid
+) -> float:
+    """h(Y) in nats for inputs with the given per-state marginals."""
+    nodes, weights = _grid_nodes(grid)
+    return float(_entropy_from_samples(output_pdf(marginals, nodes, spec), weights))
 
 
 def mutual_information(
@@ -262,9 +280,7 @@ def mutual_information(
         raise ValueError("pmf shape does not match the channel spec")
     if grid is None:
         grid = quadrature_grid(spec)
-    marg = marginals_of(p)
-    nodes, weights = _grid_nodes(grid)
-    h_y = _entropy_from_samples(np.asarray(output_pdf(marg, nodes, spec)), weights)
+    h_y = output_entropy(marginals_of(p), spec, grid)
     h_y_t = conditional_output_entropy(p, spec, grid=grid, costs=costs)
     return (h_y - h_y_t) / LN2
 

@@ -149,7 +149,8 @@ def build_zero_error_code(spec: ChannelSpec) -> ZeroErrorCode:
             # The overlapping new outputs always form the prefix up to k and
             # sit in k+1 distinct multisets; both facts follow from the
             # progression structure.
-            assert overlap == list(range(k + 1)), "overlap is not a prefix"
+            if overlap != list(range(k + 1)):
+                raise RuntimeError("overlap is not a prefix")
             for i in range(k + 1):
                 owner = next(
                     mi for mi, ms in enumerate(multisets) if new_vals[i] in ms
@@ -157,7 +158,8 @@ def build_zero_error_code(spec: ChannelSpec) -> ZeroErrorCode:
                 owners.append(owner)
                 multisets[owner].append(new_vals[i])
                 tuples[owner].append(i)
-            assert len(set(owners)) == len(owners), "overlap owners collide"
+            if len(set(owners)) != len(owners):
+                raise RuntimeError("overlap owners collide")
             fresh = list(range(k + 1, m))
         else:
             fresh = list(range(m))
@@ -174,7 +176,8 @@ def build_zero_error_code(spec: ChannelSpec) -> ZeroErrorCode:
             OutputMultiset(tuple(float(v) for v in ms)) for ms in multisets
         ),
     )
-    assert verify_zero_error(zcode), "constructed multisets are not disjoint"
+    if not verify_zero_error(zcode):
+        raise RuntimeError("constructed multisets are not disjoint")
     return zcode
 
 

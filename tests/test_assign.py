@@ -7,12 +7,14 @@ import pytest
 from causalprecode import (
     Assignment,
     BudgetExceededError,
+    CostTensor,
     assignment_rate,
     cost_tensor,
     hungarian,
     multidim_assignment,
     solve_uniform_lp,
 )
+from causalprecode.assign import assign
 from helpers import binary_spec, exhaustive_assignment_min, random_spec
 
 
@@ -106,6 +108,15 @@ class TestMultidim:
         a = multidim_assignment(cost)
         best = exhaustive_assignment_min(cost)
         assert a.total_cost == pytest.approx(best, abs=1e-12)
+
+
+class TestAssignDispatch:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_matches_the_solver_for_q(self, q):
+        costs = CostTensor(np.random.default_rng(79).normal(size=(3,) * q))
+        a = assign(costs)
+        want = hungarian(costs.values) if q == 2 else multidim_assignment(costs)
+        assert a.tuples == want.tuples and a.total_cost == want.total_cost
 
 
 class TestRates:

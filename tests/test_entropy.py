@@ -167,6 +167,12 @@ class TestCostTensor:
             costs = cost_tensor(spec)
             assert costs.values.min() >= gaussian_entropy(spec.noise_power) - 1e-9
 
+    def test_grid_too_narrow_for_the_floor_rejected(self):
+        # [-0.5, 0.5] misses most of every mixture's mass: the truncated
+        # integrals fall below the Gaussian floor and must not pass silently.
+        with pytest.raises(ValueError, match="Gaussian floor"):
+            cost_tensor(binary_spec(noise_power=0.1), QuadratureGrid(-0.5, 0.5, 4, 8))
+
 
 class TestMutualInformation:
     def test_point_mass_is_zero(self):

@@ -18,6 +18,7 @@ from causalprecode import (
     output_multisets,
     verify_zero_error,
 )
+from causalprecode import noisefree
 from causalprecode.noisefree import snap
 
 
@@ -53,6 +54,12 @@ class TestBuild:
         by_tuple = {t: ms.elements for t, ms in zip(z.code.symbols, z.multisets)}
         assert by_tuple == {(1, 2): (0.0, 2.0), (2, 1): (1.0, 1.0)}
         assert verify_zero_error(z)
+
+    def test_failed_invariant_raises(self, monkeypatch):
+        # An exception, not an assert, so it also fires under python -O.
+        monkeypatch.setattr(noisefree, "verify_zero_error", lambda zcode: False)
+        with pytest.raises(RuntimeError, match="not disjoint"):
+            build_zero_error_code(nf_spec([0.0, 1.0], [0.0, 1.0]))
 
     def test_single_state_identity(self):
         z = build_zero_error_code(nf_spec([0.0, 0.5, 1.0], [0.25]))

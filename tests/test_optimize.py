@@ -16,6 +16,7 @@ from causalprecode import (
     solve_uniform_lp,
     support_reduce,
 )
+from causalprecode.optimize import _discretized_channel
 from helpers import (
     binary_spec,
     enumerate_vertex_objectives,
@@ -173,6 +174,11 @@ class TestBlahutArimoto:
             lp = solve_uniform_lp(costs, spec)
             ba = blahut_arimoto(spec)
             assert lp.rate_bits - 1e-6 <= ba.capacity_bits <= 1.0 + 1e-6
+
+    def test_channel_matrix_is_row_stochastic_and_c_ordered(self):
+        w, _ = _discretized_channel(random_spec(np.random.default_rng(5), 3, 2, 0.2), None)
+        assert w.flags.c_contiguous
+        assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestSupportReduce:

@@ -1,0 +1,91 @@
+"""Metamorphic properties of the cost tensor.
+
+A mixture's differential entropy depends only on the shape of the output
+density, so translating, reflecting or scaling the channel and relabelling
+the constellation change the cost tensor in known ways. Each property
+recomputes the tensor from scratch on the transformed spec.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from causalprecode import ChannelSpec, cost_tensor
+
+TOL = 1e-9
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def specs(draw):
+    m = draw(st.integers(2, 3))
+    q = draw(st.integers(1, 3))
+    x = draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m, unique=True))
+    s = draw(st.lists(st.integers(-20, 20), min_size=q, max_size=q, unique=True))
+    weights = np.asarray(draw(st.lists(st.integers(1, 9), min_size=q, max_size=q)), float)
+    noise = draw(st.floats(0.05, 1.0))
+    return ChannelSpec(
+        tuple(v / 10.0 for v in x), tuple(v / 10.0 for v in s),
+        tuple(weights / weights.sum()), noise,
+    )
+
+
+def transformed(spec, x=None, s=None, noise=None):
+    """A copy of spec with some fields replaced; each level keeps its probability."""
+    return ChannelSpec(
+        spec.constellation if x is None else tuple(x),
+        spec.interference_levels if s is None else tuple(s),
+        spec.interference_probs,
+        spec.noise_power if noise is None else noise,
+    )
+
+
+@PROPERTY
+@given(specs(), st.floats(-3.0, 3.0), st.booleans())
+def test_common_translation_invariance(spec, c, shift_constellation):
+    base = cost_tensor(spec).values
+    if shift_constellation:
+        moved = transformed(spec, x=[v + c for v in spec.constellation])
+    else:
+        moved = transformed(spec, s=[v + c for v in spec.interference_levels])
+    assert np.allclose(cost_tensor(moved).values, base, rtol=0.0, atol=TOL)
+
+
+@PROPERTY
+@given(specs(), st.floats(0.25, 4.0))
+def test_scaling_shifts_by_log_factor(spec, a):
+    base = cost_tensor(spec).values
+    scaled = transformed(
+        spec,
+        x=[a * v for v in spec.constellation],
+        s=[a * v for v in spec.interference_levels],
+        noise=a * a * spec.noise_power,
+    )
+    assert np.allclose(cost_tensor(scaled).values, base + math.log(a), rtol=0.0, atol=TOL)
+
+
+@PROPERTY
+@given(specs())
+def test_reflection_invariance(spec):
+    # Negated levels sort in reverse, so state j of the mirror is state
+    # Q-1-j of the original: the tensor comes back with its axes reversed.
+    base = cost_tensor(spec).values
+    mirror = transformed(
+        spec, x=[-v for v in spec.constellation], s=[-v for v in spec.interference_levels]
+    )
+    got = cost_tensor(mirror).values
+    assert np.allclose(got, np.transpose(base, tuple(reversed(range(spec.q)))),
+                       rtol=0.0, atol=TOL)
+
+
+@PROPERTY
+@given(specs(), st.randoms(use_true_random=False))
+def test_relabelling_permutes_the_tensor(spec, rnd):
+    perm = list(range(spec.m))
+    rnd.shuffle(perm)
+    base = cost_tensor(spec).values
+    relabelled = transformed(spec, x=[spec.constellation[k] for k in perm])
+    assert np.allclose(cost_tensor(relabelled).values, base[np.ix_(*[perm] * spec.q)],
+                       rtol=0.0, atol=TOL)
