@@ -116,6 +116,37 @@ def _hungarian_value(cost: np.ndarray) -> float:
     return math.fsum(cost[match[j] - 1][j - 1] for j in range(1, n + 1))
 
 
+def _lexicographic_assignment(values: np.ndarray, best: float, completes) -> Assignment:
+    """The lexicographically smallest assignment whose total is within
+    1e-9 (relative) of the optimum `best`.
+
+    Rows are fixed in order, each to the first index combination after which
+    `completes(row, avail, slack)` confirms that rows `row`.. can still be
+    assigned from the per-coordinate free indices `avail` at cost <= slack.
+    """
+    n = values.shape[0]
+    limit = best + 1e-9 * max(1.0, abs(best))
+    avail = [list(range(n)) for _ in range(values.ndim - 1)]
+    chosen: list[tuple[int, ...]] = []
+    fixed_cost = 0.0
+    for row in range(n):
+        for combo in itertools.product(*avail):
+            inc = float(values[(row, *combo)])
+            sub_avail = [
+                [i for i in avail[pos] if i != combo[pos]] for pos in range(len(avail))
+            ]
+            if completes(row + 1, sub_avail, limit - fixed_cost - inc):
+                chosen.append(combo)
+                fixed_cost += inc
+                avail = sub_avail
+                break
+        else:  # pragma: no cover - would indicate a solver bug
+            raise RuntimeError("no consistent choice found while fixing the assignment")
+    tuples = tuple((row + 1, *(i + 1 for i in combo)) for row, combo in enumerate(chosen))
+    total = math.fsum(float(values[tuple(i - 1 for i in t)]) for t in tuples)
+    return Assignment(tuples=tuples, total_cost=total)
+
+
 def hungarian(cost) -> Assignment:
     """Minimum-cost perfect matching on K_{M,M}.
 
@@ -126,26 +157,12 @@ def hungarian(cost) -> Assignment:
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("hungarian needs a square cost matrix")
     n = values.shape[0]
-    best = _hungarian_value(values)
-    tie_tol = 1e-9 * max(1.0, abs(best))
-    remaining = list(range(n))
-    chosen: list[int] = []
-    fixed_cost = 0.0
-    for row in range(n):
-        for col in remaining:
-            rest = [c for c in remaining if c != col]
-            completion = _hungarian_value(values[np.ix_(range(row + 1, n), rest)])
-            if fixed_cost + values[row, col] + completion <= best + tie_tol:
-                chosen.append(col)
-                fixed_cost += values[row, col]
-                remaining = rest
-                break
-        else:  # pragma: no cover - would indicate a solver bug
-            raise RuntimeError("no consistent column found while fixing the matching")
-    total = math.fsum(values[r, c] for r, c in enumerate(chosen))
-    return Assignment(
-        tuples=tuple((r + 1, c + 1) for r, c in enumerate(chosen)),
-        total_cost=total,
+    return _lexicographic_assignment(
+        values,
+        _hungarian_value(values),
+        lambda row, avail, slack: (
+            _hungarian_value(values[np.ix_(range(row, n), avail[0])]) <= slack
+        ),
     )
 
 
@@ -191,12 +208,6 @@ def _bnb_search(
     return best
 
 
-def _bnb_value(
-    values: np.ndarray, row: int, avail: list[list[int]], cap: float = math.inf
-) -> float:
-    return _bnb_search(values, row, avail, 0.0, cap, -math.inf)
-
-
 def multidim_assignment(cost) -> Assignment:
     """Exact minimum-cost axial assignment for a (M,)*Q cost tensor.
 
@@ -218,32 +229,14 @@ def multidim_assignment(cost) -> Assignment:
             total_cost=math.fsum(float(v) for v in values),
         )
     full = [list(range(n)) for _ in range(q - 1)]
-    best = _bnb_value(values, 0, full)
-    tie_tol = 1e-9 * max(1.0, abs(best))
-    avail = full
-    chosen: list[tuple[int, ...]] = []
-    fixed_cost = 0.0
-    for row in range(n):
-        for combo in itertools.product(*avail):
-            inc = float(values[(row, *combo)])
-            target = best + tie_tol - fixed_cost - inc
-            sub_avail = [
-                [i for i in avail[pos] if i != combo[pos]] for pos in range(len(avail))
-            ]
-            # Decision query: any completion with total <= target?
-            reachable = _bnb_search(
-                values, row + 1, sub_avail, 0.0, target + 1e-15, target
-            )
-            if reachable <= target:
-                chosen.append(combo)
-                fixed_cost += inc
-                avail = sub_avail
-                break
-        else:  # pragma: no cover - would indicate a solver bug
-            raise RuntimeError("no consistent tuple found while fixing the assignment")
-    tuples = tuple((row + 1, *(i + 1 for i in combo)) for row, combo in enumerate(chosen))
-    total = math.fsum(float(values[tuple(i - 1 for i in t)]) for t in tuples)
-    return Assignment(tuples=tuples, total_cost=total)
+    # Decision query: a completion with total <= slack exists.
+    return _lexicographic_assignment(
+        values,
+        _bnb_search(values, 0, full, 0.0, math.inf, -math.inf),
+        lambda row, avail, slack: (
+            _bnb_search(values, row, avail, 0.0, slack + 1e-15, slack) <= slack
+        ),
+    )
 
 
 def assign(costs: CostTensor) -> Assignment:
@@ -252,7 +245,15 @@ def assign(costs: CostTensor) -> Assignment:
 
 
 def assignment_rate(
-    a: Assignment, spec: ChannelSpec, grid: QuadratureGrid | None = None
+    a: Assignment,
+    spec: ChannelSpec,
+    grid: QuadratureGrid | None = None,
+    costs: CostTensor | None = None,
 ) -> float:
-    """Mutual information (bits) of the pmf placing 1/M on each tuple of `a`."""
-    return _entropy.mutual_information(code_pmf(a.code(), spec.m), spec, grid=grid)
+    """Mutual information (bits) of the pmf placing 1/M on each tuple of `a`.
+
+    Rates `a.tuples`, not `a.total_cost`; h_t comes from `costs` when given.
+    """
+    return _entropy.mutual_information(
+        code_pmf(a.code(), spec.m), spec, grid=grid, costs=costs
+    )

@@ -26,9 +26,11 @@ from . import entropy as _entropy
 from . import noisefree as _noisefree
 from . import optimize as _optimize
 from . import sim as _sim
+from .entropy import LN2
 from .model import (
     BudgetExceededError,
     ChannelSpec,
+    MarginalSet,
     PrecoderCode,
     load_spec,
     noise_power_for_snr_db,
@@ -99,6 +101,7 @@ class SweepRow:
     lp_rate_bits: float
     ba_capacity_bits: float | None
     chosen_assignment: str
+    ba_converged: bool
 
 
 def _sweep_assignment_ids(spec: ChannelSpec) -> list[str] | None:
@@ -126,28 +129,30 @@ def sweep_point(
     )
     grid = _entropy.quadrature_grid(point)
     costs = _entropy.cost_tensor(point, grid)
-    lp = _optimize.solve_uniform_lp(costs, point, grid)
-    rates: dict[str, float] = {}
+    lp = _optimize.solve_uniform_lp(costs)
+    # The LP optimum and every assignment have uniform marginals, so they
+    # share one h(Y) and each rate is h(Y) minus its mean cost.
+    h_y = _entropy.output_entropy(MarginalSet.uniform(point.m, point.q), point, grid)
     if ids is None:
-        a = _assign.assign(costs)
-        rates[assignment_id(a.tuples)] = _assign.assignment_rate(a, point, grid)
+        tuples = _assign.assign(costs).tuples
+        tuple_sets = {assignment_id(tuples): tuples}
     else:
-        for aid in ids:
-            a = _assign.Assignment(
-                tuples=_tuples_of_id(aid),
-                total_cost=sum(costs.entry(t) for t in _tuples_of_id(aid)),
-            )
-            rates[aid] = _assign.assignment_rate(a, point, grid)
+        tuple_sets = {aid: _tuples_of_id(aid) for aid in ids}
+    rates = {
+        aid: (h_y - math.fsum(costs.entry(t) for t in tuples) / point.m) / LN2
+        for aid, tuples in tuple_sets.items()
+    }
     chosen = max(sorted(rates), key=lambda aid: rates[aid])
     ba = None
     if with_ba:
-        ba = _optimize.blahut_arimoto(point).capacity_bits
+        ba = _optimize.blahut_arimoto(point)
     return SweepRow(
         snr_db=snr_db,
         rate_per_assignment=rates,
-        lp_rate_bits=float(lp.rate_bits),
-        ba_capacity_bits=ba,
+        lp_rate_bits=(h_y - lp.objective) / LN2,
+        ba_capacity_bits=None if ba is None else ba.capacity_bits,
         chosen_assignment=chosen,
+        ba_converged=ba is None or ba.converged,
     )
 
 
@@ -229,7 +234,7 @@ def _cmd_assign(args) -> int:
     grid = _entropy.quadrature_grid(spec)
     costs = _entropy.cost_tensor(spec, grid)
     a = _assign.assign(costs)
-    rate = _assign.assignment_rate(a, spec, grid)
+    rate = _assign.assignment_rate(a, spec, grid, costs)
     print(f"assignment ({assignment_id(a.tuples)}), total cost {_fmt(a.total_cost)} nats")
     print(f"rate bits: {_fmt(rate)}")
     code = a.code()
@@ -295,6 +300,11 @@ def _cmd_sweep(args) -> int:
             fh.write(text)
     else:
         print(text, end="")
+    unconverged = [_fmt(row.snr_db) for row in rows if not row.ba_converged]
+    if unconverged:
+        print(f"error: Blahut-Arimoto did not converge at SNR {', '.join(unconverged)} dB",
+              file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 

@@ -31,8 +31,9 @@ _PDF_FLOOR = 1e-300
 # Integration window extends this many noise sigmas beyond the extreme means.
 _WINDOW_SIGMAS = 10.0
 
-# Symbols whose densities are reduced to entropies at once.
-_BLOCK = 4096
+# Density samples reduced to entropies at once: nodes x symbols per block
+# stays within this many float64 elements (32 MB).
+_BLOCK_ELEMENTS = 1 << 22
 
 
 def gaussian_entropy(variance: float) -> float:
@@ -209,28 +210,22 @@ def _mixture_matrix(g: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return dens
 
 
-def _symbol_entropies(
-    spec: ChannelSpec, grid: QuadratureGrid, ranks: np.ndarray
-) -> np.ndarray:
-    """Output entropy h_t in nats of each symbol with the given flat ranks.
-
-    One component table serves all symbols; densities are reduced in blocks
-    of _BLOCK columns to bound memory.
-    """
-    nodes, weights = _grid_nodes(grid)
-    g = _components(spec, nodes)
-    out = np.empty(len(ranks))
-    for start in range(0, len(ranks), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        out[block] = _entropy_from_samples(_mixture_matrix(g, ranks[block]), weights)
-    return out
-
-
 def cost_tensor(spec: ChannelSpec, grid: QuadratureGrid | None = None) -> CostTensor:
-    """Differential entropy of the output for every associated symbol."""
+    """Differential entropy of the output for every associated symbol.
+
+    One component table serves all symbols; their densities are reduced in
+    blocks of at most _BLOCK_ELEMENTS samples to bound memory.
+    """
     if grid is None:
         grid = quadrature_grid(spec)
-    values = _symbol_entropies(spec, grid, np.arange(spec.num_symbols))
+    nodes, weights = _grid_nodes(grid)
+    g = _components(spec, nodes)
+    ranks = np.arange(spec.num_symbols)
+    block = max(1, _BLOCK_ELEMENTS // len(nodes))
+    values = np.concatenate([
+        _entropy_from_samples(_mixture_matrix(g, ranks[start:start + block]), weights)
+        for start in range(0, len(ranks), block)
+    ])
     # A mixture's entropy is at least its component entropy; falling below
     # it means the grid does not cover the densities.
     floor = gaussian_entropy(spec.noise_power)
@@ -240,21 +235,6 @@ def cost_tensor(spec: ChannelSpec, grid: QuadratureGrid | None = None) -> CostTe
             f"{floor:.6g}; the quadrature grid does not cover the output"
         )
     return CostTensor(values.reshape((spec.m,) * spec.q))
-
-
-def conditional_output_entropy(
-    p: JointPmf,
-    spec: ChannelSpec,
-    grid: QuadratureGrid | None = None,
-    costs: CostTensor | None = None,
-) -> float:
-    """h(Y|T) = sum_t p(t) h_t in nats, over the support of p."""
-    if costs is not None:
-        return float(np.dot(p.probs, costs.values.reshape(-1)))
-    if grid is None:
-        grid = quadrature_grid(spec)
-    ranks = np.nonzero(p.probs > 0.0)[0]
-    return float(np.dot(p.probs[ranks], _symbol_entropies(spec, grid, ranks)))
 
 
 def output_entropy(
@@ -271,17 +251,16 @@ def mutual_information(
     grid: QuadratureGrid | None = None,
     costs: CostTensor | None = None,
 ) -> float:
-    """I(T;Y) = h(Y) - h(Y|T) in bits, for input distribution p.
+    """I(T;Y) = h(Y) - sum_t p(t) h_t in bits, for input distribution p.
 
-    h(Y) is computed from the per-state marginals of p; a precomputed
-    CostTensor may be passed to skip re-integrating h(Y|T).
+    h(Y) is computed from the per-state marginals of p and h_t read from the
+    cost tensor, built on `grid` unless a precomputed one is passed.
     """
     if p.m != spec.m or p.q != spec.q:
         raise ValueError("pmf shape does not match the channel spec")
     if grid is None:
         grid = quadrature_grid(spec)
+    if costs is None:
+        costs = cost_tensor(spec, grid)
     h_y = output_entropy(marginals_of(p), spec, grid)
-    h_y_t = conditional_output_entropy(p, spec, grid=grid, costs=costs)
-    return (h_y - h_y_t) / LN2
-
-
+    return (h_y - float(np.dot(p.probs, costs.values.reshape(-1)))) / LN2

@@ -1,7 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from causalprecode import cli
+from causalprecode import ChannelSpec, cli, noise_power_for_snr_db, optimize
 from causalprecode.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -12,6 +15,7 @@ from causalprecode.cli import (
     parse_code_text,
     run,
 )
+from helpers import riemann_entropy
 
 BINARY_SPEC = """\
 constellation = -1.0 1.0
@@ -194,6 +198,71 @@ class TestSweepCommand:
         lp = float(row[1])
         assert ba >= lp - 1e-6
 
+    def test_unconverged_ba_exits_4_and_still_writes_the_csv(
+        self, binary_spec_file, tmp_path, monkeypatch, capsys
+    ):
+        path = binary_spec_file()
+        args = ["sweep", path, "--snr-db=0:10:10", "--with-ba", "--out"]
+        assert run(args + [str(tmp_path / "ok.csv")]) == EXIT_OK
+        real = optimize.blahut_arimoto
+
+        def unconverged_at_0db(spec, **kwargs):
+            result = real(spec, **kwargs)
+            return replace(result, converged=False) if spec.noise_power > 0.5 else result
+
+        monkeypatch.setattr(optimize, "blahut_arimoto", unconverged_at_0db)
+        capsys.readouterr()
+        assert run(args + [str(tmp_path / "bad.csv")]) == EXIT_NO_CONVERGENCE
+        assert (tmp_path / "bad.csv").read_bytes() == (tmp_path / "ok.csv").read_bytes()
+        err = capsys.readouterr().err
+        assert "did not converge at SNR 0 dB" in err
+
     def test_bad_range(self, binary_spec_file, capsys):
         path = binary_spec_file()
         assert run(["sweep", path, "--snr-db=5:1:1"]) == EXIT_BAD_INPUT
+
+
+def _gaussian_mixture(means, weights, var):
+    norm = 1.0 / math.sqrt(2.0 * math.pi * var)
+    return lambda y: sum(
+        w * norm * np.exp(-0.5 * (y - mu) ** 2 / var) for mu, w in zip(means, weights)
+    )
+
+
+@pytest.mark.parametrize("snr_db", [-5.0, 20.0, 60.0])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChannelSpec((-1.0, 1.0), (-1.0, 1.0), (0.4, 0.6), 1.0),
+        ChannelSpec((-3.0, -1.0, 1.0, 3.0), (-1.0, 1.0), (0.3, 0.7), 1.0),
+    ],
+    ids=["binary", "pam4q2"],
+)
+def test_sweep_rates_match_riemann(spec, snr_db):
+    # Every column from plain Riemann sums of densities written out here:
+    # assignment a rates h(Y) - (1/M) sum_{t in a} h_t, and for Q = 2 the LP
+    # optimum is the best assignment (Birkhoff-von Neumann).
+    ids = cli._sweep_assignment_ids(spec)
+    row = cli.sweep_point(spec, snr_db, False, ids)
+    var = noise_power_for_snr_db(spec.constellation, snr_db)
+    x, s, r = spec.constellation, spec.interference_levels, spec.interference_probs
+    pad = 12.0 * math.sqrt(var)
+    lo, hi = min(x) + min(s) - pad, max(x) + max(s) + pad
+    m = spec.m
+    h_y = riemann_entropy(
+        _gaussian_mixture([xi + sj for xi in x for sj in s], [rj / m for _ in x for rj in r], var),
+        lo, hi,
+    )
+    h_t = {}
+    expected = {}
+    for aid in ids:
+        tuples = cli._tuples_of_id(aid)
+        for t in tuples:
+            if t not in h_t:
+                means = [x[i - 1] + sj for i, sj in zip(t, s)]
+                h_t[t] = riemann_entropy(_gaussian_mixture(means, r, var), lo, hi)
+        expected[aid] = (h_y - sum(h_t[t] for t in tuples) / m) / math.log(2.0)
+    assert set(row.rate_per_assignment) == set(ids)
+    for aid in ids:
+        assert row.rate_per_assignment[aid] == pytest.approx(expected[aid], abs=1e-7)
+    assert row.lp_rate_bits == pytest.approx(max(expected.values()), abs=1e-7)

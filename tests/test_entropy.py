@@ -1,21 +1,26 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from causalprecode import (
+    Assignment,
     ChannelSpec,
     JointPmf,
     MarginalSet,
+    assignment_rate,
     cost_tensor,
     differential_entropy,
     gaussian_entropy,
     marginals_of,
     mixture_pdf,
     mutual_information,
+    noise_power_for_snr_db,
     output_pdf,
     quadrature_grid,
 )
+from causalprecode import cli, entropy
 from causalprecode.entropy import QuadratureGrid, integrate
 from helpers import binary_spec, random_spec, riemann_entropy
 
@@ -167,6 +172,15 @@ class TestCostTensor:
             costs = cost_tensor(spec)
             assert costs.values.min() >= gaussian_entropy(spec.noise_power) - 1e-9
 
+    def test_blocks_do_not_change_the_tensor(self, monkeypatch):
+        spec = random_spec(np.random.default_rng(5), 3, 3, 0.1)
+        grid = quadrature_grid(spec)
+        whole = cost_tensor(spec, grid).values
+        nodes = entropy._grid_nodes(grid)[0].size
+        # 27 symbols in blocks of 4 columns, the last one partial
+        monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", 4 * nodes + 1)
+        assert np.allclose(cost_tensor(spec, grid).values, whole, rtol=0.0, atol=1e-13)
+
     def test_grid_too_narrow_for_the_floor_rejected(self):
         # [-0.5, 0.5] misses most of every mixture's mass: the truncated
         # integrals fall below the Gaussian floor and must not pass silently.
@@ -222,12 +236,17 @@ class TestMutualInformation:
             assert mutual_information(p, noisier) <= mutual_information(p, base) + 1e-9
 
     def test_costs_shortcut_matches(self):
-        spec = binary_spec()
-        costs = cost_tensor(spec)
-        p = JointPmf.uniform(2, 2)
-        assert mutual_information(p, spec, costs=costs) == pytest.approx(
-            mutual_information(p, spec), abs=1e-12
-        )
+        # A sweep rates each assignment as h(Y) minus its mean cost-tensor
+        # entry; assignment_rate goes through mutual_information instead.
+        # Binary takes the all-permutations columns, Q = 3 the best-only one.
+        for spec in (binary_spec(), random_spec(np.random.default_rng(7), 3, 3, 0.2)):
+            row = cli.sweep_point(spec, 10.0, False, cli._sweep_assignment_ids(spec))
+            point = replace(
+                spec, noise_power=noise_power_for_snr_db(spec.constellation, 10.0)
+            )
+            for aid, rate in row.rate_per_assignment.items():
+                a = Assignment(cli._tuples_of_id(aid), total_cost=0.0)
+                assert rate == pytest.approx(assignment_rate(a, point), abs=1e-12)
 
     def test_output_normalization(self):
         spec = binary_spec()

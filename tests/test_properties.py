@@ -1,9 +1,11 @@
-"""Metamorphic properties of the cost tensor.
+"""Metamorphic properties of the cost tensor and of I(T;Y).
 
 A mixture's differential entropy depends only on the shape of the output
 density, so translating, reflecting or scaling the channel and relabelling
-the constellation change the cost tensor in known ways. Each property
-recomputes the tensor from scratch on the transformed spec.
+the constellation change the cost tensor in known ways. I(T;Y) is a
+difference of two such entropies, so a common translation or a joint
+scaling leaves it unchanged. Each property recomputes everything from
+scratch on the transformed spec.
 """
 
 import math
@@ -12,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalprecode import ChannelSpec, cost_tensor
+from causalprecode import ChannelSpec, JointPmf, cost_tensor, mutual_information
 
 TOL = 1e-9
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -30,6 +32,13 @@ def specs(draw):
         tuple(v / 10.0 for v in x), tuple(v / 10.0 for v in s),
         tuple(weights / weights.sum()), noise,
     )
+
+
+def pmf_for(spec, data):
+    n = spec.num_symbols
+    raw = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))
+    raw = np.asarray(raw, float)
+    return JointPmf(spec.m, spec.q, raw / raw.sum())
 
 
 def transformed(spec, x=None, s=None, noise=None):
@@ -89,3 +98,30 @@ def test_relabelling_permutes_the_tensor(spec, rnd):
     relabelled = transformed(spec, x=[spec.constellation[k] for k in perm])
     assert np.allclose(cost_tensor(relabelled).values, base[np.ix_(*[perm] * spec.q)],
                        rtol=0.0, atol=TOL)
+
+
+@PROPERTY
+@given(specs(), st.floats(-3.0, 3.0), st.booleans(), st.data())
+def test_rate_common_translation_invariance(spec, c, shift_constellation, data):
+    p = pmf_for(spec, data)
+    if shift_constellation:
+        moved = transformed(spec, x=[v + c for v in spec.constellation])
+    else:
+        moved = transformed(spec, s=[v + c for v in spec.interference_levels])
+    assert math.isclose(mutual_information(p, moved), mutual_information(p, spec),
+                        rel_tol=0.0, abs_tol=TOL)
+
+
+@PROPERTY
+@given(specs(), st.floats(0.25, 4.0), st.data())
+def test_rate_joint_scaling_invariance(spec, a, data):
+    # h(Y) and every h_t shift by the same ln a, so their difference stays.
+    p = pmf_for(spec, data)
+    scaled = transformed(
+        spec,
+        x=[a * v for v in spec.constellation],
+        s=[a * v for v in spec.interference_levels],
+        noise=a * a * spec.noise_power,
+    )
+    assert math.isclose(mutual_information(p, scaled), mutual_information(p, spec),
+                        rel_tol=0.0, abs_tol=TOL)
