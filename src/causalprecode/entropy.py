@@ -210,17 +210,14 @@ def _mixture_matrix(g: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return dens
 
 
-def cost_tensor(spec: ChannelSpec, grid: QuadratureGrid | None = None) -> CostTensor:
-    """Differential entropy of the output for every associated symbol.
+def _symbol_entropies(spec: ChannelSpec, grid: QuadratureGrid, ranks: np.ndarray) -> np.ndarray:
+    """h_t in nats for the symbols with the given flat ranks, in `ranks` order.
 
     One component table serves all symbols; their densities are reduced in
     blocks of at most _BLOCK_ELEMENTS samples to bound memory.
     """
-    if grid is None:
-        grid = quadrature_grid(spec)
     nodes, weights = _grid_nodes(grid)
     g = _components(spec, nodes)
-    ranks = np.arange(spec.num_symbols)
     block = max(1, _BLOCK_ELEMENTS // len(nodes))
     values = np.concatenate([
         _entropy_from_samples(_mixture_matrix(g, ranks[start:start + block]), weights)
@@ -234,6 +231,14 @@ def cost_tensor(spec: ChannelSpec, grid: QuadratureGrid | None = None) -> CostTe
             f"cost tensor entry {values.min():.6g} below the Gaussian floor "
             f"{floor:.6g}; the quadrature grid does not cover the output"
         )
+    return values
+
+
+def cost_tensor(spec: ChannelSpec, grid: QuadratureGrid | None = None) -> CostTensor:
+    """Differential entropy of the output for every associated symbol."""
+    if grid is None:
+        grid = quadrature_grid(spec)
+    values = _symbol_entropies(spec, grid, np.arange(spec.num_symbols))
     return CostTensor(values.reshape((spec.m,) * spec.q))
 
 
@@ -253,14 +258,17 @@ def mutual_information(
 ) -> float:
     """I(T;Y) = h(Y) - sum_t p(t) h_t in bits, for input distribution p.
 
-    h(Y) is computed from the per-state marginals of p and h_t read from the
-    cost tensor, built on `grid` unless a precomputed one is passed.
+    h(Y) is computed from the per-state marginals of p. h_t is read from
+    `costs` when given, else evaluated on `grid` for the support of p only.
     """
     if p.m != spec.m or p.q != spec.q:
         raise ValueError("pmf shape does not match the channel spec")
     if grid is None:
         grid = quadrature_grid(spec)
     if costs is None:
-        costs = cost_tensor(spec, grid)
+        support = np.flatnonzero(p.probs)
+        h_cond = np.dot(p.probs[support], _symbol_entropies(spec, grid, support))
+    else:
+        h_cond = np.dot(p.probs, costs.values.reshape(-1))
     h_y = output_entropy(marginals_of(p), spec, grid)
-    return (h_y - float(np.dot(p.probs, costs.values.reshape(-1)))) / LN2
+    return (h_y - float(h_cond)) / LN2

@@ -24,7 +24,7 @@ from scipy.special import ndtri
 from .model import ChannelSpec, PrecoderCode, snr_db_of
 
 _DRAWS_PER_TRIAL = 4  # one Philox 4x64 block; draw 3 is reserved
-_BATCH = 1 << 16
+_BATCH = 1 << 14  # an (M*Q, batch) exponent block stays in cache
 
 
 @dataclass(frozen=True)
@@ -49,24 +49,33 @@ def _check_inputs(code: PrecoderCode, spec: ChannelSpec) -> np.ndarray:
     return x[idx] + s[None, :]  # per-symbol mixture means
 
 
-def _log_likelihoods(y: np.ndarray, means: np.ndarray, spec: ChannelSpec) -> np.ndarray:
-    """Log mixture likelihood of each message, shape (len(y), M).
+def _decode_block(
+    y: np.ndarray, means: np.ndarray, spec: ChannelSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-likelihood messages and posterior entropies (nats) for outputs y.
 
-    The Gaussian normalization constant is dropped; it cancels in both the
-    argmax decision and the posterior.
+    Component (m, j) has exponent ln r_j - (y - mu)^2 / 2P_N. Its -y^2 / 2P_N
+    part is the same for every component of a trial and cancels in both the
+    decision and the posterior, leaving y (mu/P_N) + ln r_j - mu^2 / 2P_N.
+    Each trial (a column, so reductions run over contiguous rows) is shifted
+    by its largest exponent before the one exp; ties go to the smaller index.
     """
-    log_r = np.log(np.asarray(spec.interference_probs))
-    z = y[:, None, None] - means[None, :, :]
-    log_mix = log_r[None, None, :] - 0.5 * z * z / spec.noise_power
-    peak = log_mix.max(axis=2, keepdims=True)
-    return peak[..., 0] + np.log(np.exp(log_mix - peak).sum(axis=2))
+    slope = means / spec.noise_power
+    offset = np.log(np.asarray(spec.interference_probs)) - 0.5 * means * slope
+    e = np.multiply.outer(slope.reshape(-1), y)
+    e += offset.reshape(-1, 1)
+    e -= e.max(axis=0)
+    lik = np.exp(e, out=e).reshape(means.shape + (len(y),)).sum(axis=1)
+    total = lik.sum(axis=0)
+    lik_ln_lik = np.log(lik, out=np.zeros_like(lik), where=lik > 0.0)
+    lik_ln_lik *= lik
+    return np.argmax(lik, axis=0), np.log(total) - lik_ln_lik.sum(axis=0) / total
 
 
 def decode(y: float, code: PrecoderCode, spec: ChannelSpec) -> int:
     """Maximum-likelihood message for output y; ties go to the smaller index."""
-    means = _check_inputs(code, spec)
-    loglik = _log_likelihoods(np.asarray([float(y)]), means, spec)
-    return int(np.argmax(loglik[0]))
+    decisions, _ = _decode_block(np.asarray([float(y)]), _check_inputs(code, spec), spec)
+    return int(decisions[0])
 
 
 def _run_batch(
@@ -76,27 +85,18 @@ def _run_batch(
     means: np.ndarray,
     spec: ChannelSpec,
 ) -> tuple[int, float]:
-    """Simulate trials [start, start+count); returns (errors, sum of posterior entropies)."""
+    """Simulate trials [start, start+count); returns (errors, summed posterior entropy in nats)."""
     bits = np.random.Philox(key=seed)
     bits.advance(start)  # one counter block per trial
     u = np.random.Generator(bits).random((count, _DRAWS_PER_TRIAL))
     m = means.shape[0]
     messages = np.minimum((u[:, 0] * m).astype(np.int64), m - 1)
     cum_r = np.cumsum(np.asarray(spec.interference_probs))
-    states = np.minimum(
-        np.searchsorted(cum_r, u[:, 1], side="right"), spec.q - 1
-    )
+    states = np.minimum(np.searchsorted(cum_r, u[:, 1], side="right"), spec.q - 1)
     noise = ndtri(np.clip(u[:, 2], 1e-300, 1.0 - 1e-16)) * math.sqrt(spec.noise_power)
     y = means[messages, states] + noise
-    loglik = _log_likelihoods(y, means, spec)
-    decoded = np.argmax(loglik, axis=1)
-    errors = int(np.count_nonzero(decoded != messages))
-    shift = loglik - loglik.max(axis=1, keepdims=True)
-    weights = np.exp(shift)
-    post = weights / weights.sum(axis=1, keepdims=True)
-    safe = np.where(post > 0.0, post, 1.0)
-    entropy_bits = -(post * np.log2(safe)).sum(axis=1)
-    return errors, float(entropy_bits.sum())
+    decoded, entropies = _decode_block(y, means, spec)
+    return int(np.count_nonzero(decoded != messages)), float(entropies.sum())
 
 
 def simulate(
@@ -125,7 +125,7 @@ def simulate(
         results = [_run_batch(seed, s, n, means, spec) for s, n in jobs]
     errors = sum(r[0] for r in results)
     mean_posterior_entropy = math.fsum(r[1] for r in results) / trials
-    mi = math.log2(code.m) - mean_posterior_entropy
+    mi = math.log2(code.m) - mean_posterior_entropy / math.log(2.0)
     return SimReport(
         trials=trials,
         symbol_errors=errors,

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from causalprecode import ChannelSpec
+from causalprecode import ChannelSpec, PrecoderCode
 
 
 def binary_spec(noise_power: float = 0.1) -> ChannelSpec:
@@ -31,6 +31,12 @@ def random_spec(rng: np.random.Generator, m: int, q: int, noise_power: float) ->
     r = r / r.sum()
     r[-1] = 1.0 - r[:-1].sum()
     return ChannelSpec(tuple(x), tuple(s), tuple(r), noise_power)
+
+
+def random_code(rng: np.random.Generator, m: int, q: int) -> PrecoderCode:
+    """M symbols that use every index once per position (an assignment)."""
+    columns = [np.arange(1, m + 1)] + [rng.permutation(m) + 1 for _ in range(q - 1)]
+    return PrecoderCode(tuple(map(tuple, np.stack(columns, axis=1))))
 
 
 def riemann_entropy(pdf, lo: float, hi: float, n: int = 400_000) -> float:

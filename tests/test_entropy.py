@@ -22,7 +22,7 @@ from causalprecode import (
 )
 from causalprecode import cli, entropy
 from causalprecode.entropy import QuadratureGrid, integrate
-from helpers import binary_spec, random_spec, riemann_entropy
+from helpers import binary_spec, random_code, random_spec, riemann_entropy
 
 
 def phi(y, mean, var):
@@ -247,6 +247,32 @@ class TestMutualInformation:
             for aid, rate in row.rate_per_assignment.items():
                 a = Assignment(cli._tuples_of_id(aid), total_cost=0.0)
                 assert rate == pytest.approx(assignment_rate(a, point), abs=1e-12)
+
+    @pytest.mark.parametrize("m,q", [(3, 3), (32, 2)])
+    def test_support_only_rate_matches_the_full_tensor(self, m, q, monkeypatch):
+        # Without `costs`, h_t is evaluated for the M support symbols only,
+        # by the same reduction that fills the whole tensor.
+        rng = np.random.default_rng(37 + m)
+        spec = random_spec(rng, m, q, 0.05)
+        grid = quadrature_grid(spec)
+        a = Assignment(random_code(rng, m, q).symbols, total_cost=0.0)
+        full = assignment_rate(a, spec, grid, cost_tensor(spec, grid))
+        columns = []
+        mixture_matrix = entropy._mixture_matrix
+        monkeypatch.setattr(
+            entropy,
+            "_mixture_matrix",
+            lambda g, ranks: columns.append(len(ranks)) or mixture_matrix(g, ranks),
+        )
+        assert assignment_rate(a, spec, grid) == pytest.approx(full, abs=1e-12)
+        assert sum(columns) == m
+
+    def test_support_only_rate_keeps_the_floor_check(self):
+        p = JointPmf.from_entries(2, 2, {(1, 2): 0.5, (2, 1): 0.5})
+        with pytest.raises(ValueError, match="Gaussian floor"):
+            mutual_information(
+                p, binary_spec(noise_power=0.1), QuadratureGrid(-0.5, 0.5, 4, 8)
+            )
 
     def test_output_normalization(self):
         spec = binary_spec()

@@ -5,7 +5,8 @@ density, so translating, reflecting or scaling the channel and relabelling
 the constellation change the cost tensor in known ways. I(T;Y) is a
 difference of two such entropies, so a common translation or a joint
 scaling leaves it unchanged. Each property recomputes everything from
-scratch on the transformed spec.
+scratch on the transformed spec. At high SNR the Monte Carlo decoder
+must agree with the noise-free one.
 """
 
 import math
@@ -14,7 +15,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalprecode import ChannelSpec, JointPmf, cost_tensor, mutual_information
+from causalprecode import (
+    ChannelSpec,
+    JointPmf,
+    build_zero_error_code,
+    cost_tensor,
+    decode,
+    decode_noisefree,
+    mutual_information,
+    simulate,
+)
 
 TOL = 1e-9
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -125,3 +135,23 @@ def test_rate_joint_scaling_invariance(spec, a, data):
     )
     assert math.isclose(mutual_information(p, scaled), mutual_information(p, spec),
                         rel_tol=0.0, abs_tol=TOL)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 3), st.data())
+def test_simulated_ser_at_high_snr_matches_the_noise_free_decoder(q, data):
+    # PAM-4 with integer levels: distinct noise-free outputs lie at least 1
+    # apart, 500 noise sigmas at P_N = 1e-6, so the zero-error code must
+    # decode without error and every posterior is one-hot.
+    levels = data.draw(st.lists(st.integers(-6, 6), min_size=q, max_size=q, unique=True))
+    weights = np.asarray(data.draw(st.lists(st.integers(1, 9), min_size=q, max_size=q)), float)
+    spec = ChannelSpec((-3.0, -1.0, 1.0, 3.0), tuple(float(v) for v in levels),
+                       tuple(weights / weights.sum()), 1e-6)
+    zcode = build_zero_error_code(spec)
+    for t in zcode.code.symbols:
+        for state, i in enumerate(t):
+            y = spec.constellation[i - 1] + spec.interference_levels[state]
+            assert decode(y, zcode.code, spec) == decode_noisefree(zcode, y)
+    report = simulate(zcode.code, spec, trials=20_000, seed=q)
+    assert report.symbol_errors == 0 and report.ser == 0.0
+    assert math.isclose(report.empirical_mi_bits, 2.0, rel_tol=0.0, abs_tol=TOL)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_softmax, logsumexp
 
 from causalprecode import (
     ChannelSpec,
@@ -9,10 +10,12 @@ from causalprecode import (
     code_pmf,
     decode,
     mutual_information,
+    noise_power_for_snr_db,
     simulate,
 )
+from causalprecode import sim
 from causalprecode.sim import CSV_HEADER, csv_row
-from helpers import binary_spec
+from helpers import binary_spec, random_code, random_spec
 
 ZERO_ERROR_CODE = PrecoderCode(((1, 2), (2, 1)))
 
@@ -23,6 +26,14 @@ class TestReproducibility:
         r1 = simulate(ZERO_ERROR_CODE, spec, trials=200_000, seed=123, workers=1)
         r8 = simulate(ZERO_ERROR_CODE, spec, trials=200_000, seed=123, workers=8)
         assert r1 == r8
+
+    def test_identical_reports_for_a_ragged_last_batch(self):
+        # three batches, the last one partial, and more workers than batches
+        spec = binary_spec(noise_power=1.0)
+        trials = 2 * sim._BATCH + 123
+        r1 = simulate(ZERO_ERROR_CODE, spec, trials=trials, seed=29, workers=1)
+        r8 = simulate(ZERO_ERROR_CODE, spec, trials=trials, seed=29, workers=8)
+        assert r1 == r8 and r1.trials == trials
 
     def test_seed_changes_report(self):
         spec = binary_spec(noise_power=1.0)
@@ -106,6 +117,52 @@ class TestDecode:
             decode(0.0, PrecoderCode(((1,), (2,))), spec)
         with pytest.raises(ValueError, match="constellation"):
             decode(0.0, PrecoderCode(((1, 3), (2, 1))), spec)
+
+
+def reference_decode(y, means, spec):
+    """Log-domain decoder written out directly: (decisions, top-two gap, entropy nats)."""
+    log_r = np.log(np.asarray(spec.interference_probs))
+    exponents = log_r - (y[:, None, None] - means[None]) ** 2 / (2.0 * spec.noise_power)
+    loglik = logsumexp(exponents, axis=2)  # per message, shape (n, M)
+    log_post = log_softmax(loglik, axis=1)
+    post = np.exp(log_post)
+    entropy = -np.where(post > 0.0, post * log_post, 0.0).sum(axis=1)
+    top_two = np.sort(loglik, axis=1)[:, -2:]
+    return np.argmax(loglik, axis=1), top_two[:, 1] - top_two[:, 0], entropy
+
+
+def oracle_cases():
+    rng = np.random.default_rng(101)
+    for snr_db in (0.0, 20.0, 60.0):
+        for m, q in ((2, 2), (3, 3), (4, 2), (5, 3)):
+            spec = random_spec(rng, m, q, 1.0)
+            noise = noise_power_for_snr_db(spec.constellation, snr_db)
+            spec = ChannelSpec(spec.constellation, spec.interference_levels,
+                               spec.interference_probs, noise)
+            yield pytest.param(spec, random_code(rng, m, q), id=f"{m}/{q} {snr_db:g} dB")
+    yield pytest.param(binary_spec(noise_power=1e-6), ZERO_ERROR_CODE, id="binary 1e-6")
+
+
+@pytest.mark.parametrize("spec,code", oracle_cases())
+def test_decode_block_matches_log_domain_reference(spec, code):
+    means = sim._check_inputs(code, spec)
+    rng = np.random.default_rng(7)
+    flat = np.sort(means.reshape(-1))
+    # Outputs around every mean, and across the midpoint of each pair of
+    # neighbouring means at log-odds steps of order one, where the
+    # posterior is spread at any SNR.
+    mids = 0.5 * (flat[1:] + flat[:-1])
+    step = spec.noise_power / np.maximum(np.diff(flat), 1e-3)
+    y = np.concatenate([
+        rng.choice(flat, 2000) + rng.normal(0.0, math.sqrt(spec.noise_power), 2000),
+        (mids[:, None] + step[:, None] * np.linspace(-6.0, 6.0, 13)).reshape(-1),
+        rng.uniform(flat[0] - 1.0, flat[-1] + 1.0, 500),
+    ])
+    decisions, entropies = sim._decode_block(y, means, spec)
+    ref_decisions, gap, ref_entropies = reference_decode(y, means, spec)
+    clear = gap > 1e-9
+    assert np.array_equal(decisions[clear], ref_decisions[clear])
+    assert np.max(np.abs(entropies - ref_entropies)) < 1e-9
 
 
 def test_csv_row_format():
