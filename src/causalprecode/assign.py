@@ -75,6 +75,7 @@ def _hungarian_value(cost: np.ndarray) -> float:
     n = cost.shape[0]
     if n == 0:
         return 0.0
+    cost = cost.tolist()  # nested floats: no NumPy row view and scalar per lookup
     inf = math.inf
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)

@@ -25,15 +25,17 @@ from .model import AssociatedSymbol, ChannelSpec, JointPmf, MarginalSet, margina
 
 LN2 = math.log(2.0)
 
-# Density values below this contribute 0 to the entropy integrand (0 ln 0 = 0).
+# Added to density samples before the log: 0 ln 0 = 0, and samples below it
+# contribute less than 1e-297 to the entropy integrand.
 _PDF_FLOOR = 1e-300
 
 # Integration window extends this many noise sigmas beyond the extreme means.
 _WINDOW_SIGMAS = 10.0
 
-# Density samples reduced to entropies at once: nodes x symbols per block
-# stays within this many float64 elements (32 MB).
-_BLOCK_ELEMENTS = 1 << 22
+# Density samples reduced to entropies at once: a block of grid nodes x
+# symbols stays within this many float64 elements (512 kB), so it stays in
+# L2 cache from the gather through the log to the product with the weights.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def gaussian_entropy(variance: float) -> float:
@@ -145,7 +147,8 @@ def _entropy_from_samples(p: np.ndarray, weights: np.ndarray) -> np.ndarray | fl
     `p` holds one density per column (or is a single 1-D density); all
     columns reduce in one product with the quadrature weights.
     """
-    p_ln_p = np.log(p, out=np.zeros_like(p), where=p > _PDF_FLOOR)
+    p_ln_p = np.add(p, _PDF_FLOOR)
+    np.log(p_ln_p, out=p_ln_p)
     p_ln_p *= p
     h = -(weights @ p_ln_p)
     if not np.all(np.isfinite(h)):
@@ -213,16 +216,17 @@ def _mixture_matrix(g: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 def _symbol_entropies(spec: ChannelSpec, grid: QuadratureGrid, ranks: np.ndarray) -> np.ndarray:
     """h_t in nats for the symbols with the given flat ranks, in `ranks` order.
 
-    One component table serves all symbols; their densities are reduced in
-    blocks of at most _BLOCK_ELEMENTS samples to bound memory.
+    One component table serves all symbols; the grid is walked in blocks of
+    nodes with at most _BLOCK_ELEMENTS samples, and each block's partial
+    entropies add up.
     """
     nodes, weights = _grid_nodes(grid)
     g = _components(spec, nodes)
-    block = max(1, _BLOCK_ELEMENTS // len(nodes))
-    values = np.concatenate([
-        _entropy_from_samples(_mixture_matrix(g, ranks[start:start + block]), weights)
-        for start in range(0, len(ranks), block)
-    ])
+    rows = max(1, _BLOCK_ELEMENTS // len(ranks))
+    values = sum(
+        _entropy_from_samples(_mixture_matrix(g[lo:lo + rows], ranks), weights[lo:lo + rows])
+        for lo in range(0, len(nodes), rows)
+    )
     # A mixture's entropy is at least its component entropy; falling below
     # it means the grid does not cover the densities.
     floor = gaussian_entropy(spec.noise_power)

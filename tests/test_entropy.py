@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -175,11 +176,29 @@ class TestCostTensor:
     def test_blocks_do_not_change_the_tensor(self, monkeypatch):
         spec = random_spec(np.random.default_rng(5), 3, 3, 0.1)
         grid = quadrature_grid(spec)
-        whole = cost_tensor(spec, grid).values
         nodes = entropy._grid_nodes(grid)[0].size
-        # 27 symbols in blocks of 4 columns, the last one partial
-        monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", 4 * nodes + 1)
+        assert nodes % 9 != 0
+        # every node in one block, then blocks of 9 nodes, the last one partial
+        monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", nodes * 27)
+        whole = cost_tensor(spec, grid).values
+        monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", 9 * 27 + 1)
         assert np.allclose(cost_tensor(spec, grid).values, whole, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("noise_power", [0.05, 0.005])
+    def test_memory_does_not_grow_with_symbols_times_nodes(self, noise_power):
+        # PAM-8/Q=4: 4096 symbols; a dense density matrix would take
+        # nodes x 4096 x 8 bytes (230 MB at P_N = 0.05).
+        spec = ChannelSpec((-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0),
+                           (-3.0, -1.0, 1.0, 3.0), (0.25,) * 4, noise_power)
+        grid = quadrature_grid(spec)
+        table_bytes = entropy._grid_nodes(grid)[0].size * spec.m * spec.q * 8
+        tracemalloc.start()
+        try:
+            cost_tensor(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table_bytes + 4 * 8 * entropy._BLOCK_ELEMENTS
 
     def test_grid_too_narrow_for_the_floor_rejected(self):
         # [-0.5, 0.5] misses most of every mixture's mass: the truncated
@@ -257,15 +276,16 @@ class TestMutualInformation:
         grid = quadrature_grid(spec)
         a = Assignment(random_code(rng, m, q).symbols, total_cost=0.0)
         full = assignment_rate(a, spec, grid, cost_tensor(spec, grid))
-        columns = []
+        samples = []
         mixture_matrix = entropy._mixture_matrix
         monkeypatch.setattr(
             entropy,
             "_mixture_matrix",
-            lambda g, ranks: columns.append(len(ranks)) or mixture_matrix(g, ranks),
+            lambda g, ranks: samples.append(g.shape[0] * len(ranks)) or mixture_matrix(g, ranks),
         )
         assert assignment_rate(a, spec, grid) == pytest.approx(full, abs=1e-12)
-        assert sum(columns) == m
+        # each support column once at every node, and no other column
+        assert sum(samples) == m * entropy._grid_nodes(grid)[0].size
 
     def test_support_only_rate_keeps_the_floor_check(self):
         p = JointPmf.from_entries(2, 2, {(1, 2): 0.5, (2, 1): 0.5})

@@ -4,9 +4,10 @@ A mixture's differential entropy depends only on the shape of the output
 density, so translating, reflecting or scaling the channel and relabelling
 the constellation change the cost tensor in known ways. I(T;Y) is a
 difference of two such entropies, so a common translation or a joint
-scaling leaves it unchanged. Each property recomputes everything from
-scratch on the transformed spec. At high SNR the Monte Carlo decoder
-must agree with the noise-free one.
+scaling leaves it unchanged, and a reflection of X and S together leaves
+every rate unchanged. Each property recomputes everything from scratch on
+the transformed spec. Shrinking a pmf's support never lowers its rate, and
+at high SNR the Monte Carlo decoder must agree with the noise-free one.
 """
 
 import math
@@ -16,14 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalprecode import (
+    Assignment,
     ChannelSpec,
     JointPmf,
+    assignment_rate,
     build_zero_error_code,
     cost_tensor,
     decode,
     decode_noisefree,
     mutual_information,
     simulate,
+    solve_uniform_lp,
+    support_reduce,
 )
 
 TOL = 1e-9
@@ -135,6 +140,42 @@ def test_rate_joint_scaling_invariance(spec, a, data):
     )
     assert math.isclose(mutual_information(p, scaled), mutual_information(p, spec),
                         rel_tol=0.0, abs_tol=TOL)
+
+
+@PROPERTY
+@given(specs(), st.data(), st.randoms(use_true_random=False))
+def test_rates_reflection_invariance(spec, data, rnd):
+    # State j of the mirror is state Q-1-j of the original, so a symbol
+    # reads backwards there and a pmf tensor has its axes reversed.
+    mirror = transformed(
+        spec, x=[-v for v in spec.constellation], s=[-v for v in spec.interference_levels]
+    )
+    p = pmf_for(spec, data)
+    reversed_axes = tuple(reversed(range(spec.q)))
+    p_mirror = JointPmf(spec.m, spec.q, np.transpose(p.tensor(), reversed_axes).reshape(-1))
+    assert math.isclose(mutual_information(p_mirror, mirror), mutual_information(p, spec),
+                        rel_tol=0.0, abs_tol=TOL)
+    assert math.isclose(solve_uniform_lp(cost_tensor(mirror), mirror).rate_bits,
+                        solve_uniform_lp(cost_tensor(spec), spec).rate_bits,
+                        rel_tol=0.0, abs_tol=TOL)
+    columns = [list(range(1, spec.m + 1))]
+    for _ in range(spec.q - 1):
+        columns.append(rnd.sample(columns[0], spec.m))
+    a = Assignment(tuple(zip(*columns)), total_cost=0.0)
+    a_mirror = Assignment(tuple(t[::-1] for t in a.tuples), total_cost=0.0)
+    assert math.isclose(assignment_rate(a_mirror, mirror), assignment_rate(a, spec),
+                        rel_tol=0.0, abs_tol=TOL)
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_support_reduce_never_lowers_the_rate(spec, data):
+    p = pmf_for(spec, data)
+    costs = cost_tensor(spec)
+    reduced = support_reduce(spec, p, costs).pmf
+    assert mutual_information(reduced, spec, costs=costs) >= (
+        mutual_information(p, spec, costs=costs) - TOL
+    )
 
 
 @settings(max_examples=10, deadline=None)

@@ -41,13 +41,24 @@ class TestReproducibility:
         r2 = simulate(ZERO_ERROR_CODE, spec, trials=20_000, seed=2)
         assert r1 != r2
 
-    def test_prefix_stability(self):
-        # per-trial substreams: first trials don't depend on the total count
+    def test_prefix_stability(self, monkeypatch):
+        # Trial k draws from Philox counter block k whatever the batch it
+        # falls in, so trials [0, a + b) are trials [0, a) then [a, a + b).
         spec = binary_spec(noise_power=1.0)
-        small = simulate(ZERO_ERROR_CODE, spec, trials=1_000, seed=9)
-        # rerunning the same count reproduces exactly
-        again = simulate(ZERO_ERROR_CODE, spec, trials=1_000, seed=9)
-        assert small == again
+        means = sim._check_inputs(ZERO_ERROR_CODE, spec)
+        for a, b in [(1, 1), (37, 1013), (4099, 313)]:
+            errors, nats = sim._run_batch(9, 0, a + b, means, spec)
+            head = sim._run_batch(9, 0, a, means, spec)
+            tail = sim._run_batch(9, a, b, means, spec)
+            assert errors == head[0] + tail[0]
+            assert math.isclose(nats, head[1] + tail[1], rel_tol=0.0, abs_tol=1e-9)
+        default = simulate(ZERO_ERROR_CODE, spec, trials=3_001, seed=9)
+        monkeypatch.setattr(sim, "_BATCH", 100)
+        small = simulate(ZERO_ERROR_CODE, spec, trials=3_001, seed=9)
+        assert default.symbol_errors > 0
+        assert small.symbol_errors == default.symbol_errors
+        assert math.isclose(small.empirical_mi_bits, default.empirical_mi_bits,
+                            rel_tol=0.0, abs_tol=1e-12)
 
 
 class TestErrorRates:
