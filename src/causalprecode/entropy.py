@@ -200,15 +200,15 @@ class CostTensor:
         return float(self.values[tuple(i - 1 for i in symbol)])
 
 
-def _mixture_matrix(g: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Densities of the symbols with the given flat ranks, from a component table.
+def _mixture_matrix(g: np.ndarray, digits: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Densities of the symbols with the given 0-based letters, from a component table.
 
-    `g` has shape (N, M, Q); returns shape (N, len(ranks)), columns in `ranks` order.
+    `g` has shape (N, M, Q) and `digits` holds Q letter arrays, as
+    `np.unravel_index` gives them for flat ranks; returns shape
+    (N, len(digits[0])), one column per symbol.
     """
-    m, q = g.shape[-2:]
-    digits = np.unravel_index(ranks, (m,) * q)
     dens = g[:, digits[0], 0]
-    for j in range(1, q):
+    for j in range(1, len(digits)):
         dens += g[:, digits[j], j]
     return dens
 
@@ -222,9 +222,10 @@ def _symbol_entropies(spec: ChannelSpec, grid: QuadratureGrid, ranks: np.ndarray
     """
     nodes, weights = _grid_nodes(grid)
     g = _components(spec, nodes)
+    digits = np.unravel_index(ranks, (spec.m,) * spec.q)
     rows = max(1, _BLOCK_ELEMENTS // len(ranks))
     values = sum(
-        _entropy_from_samples(_mixture_matrix(g[lo:lo + rows], ranks), weights[lo:lo + rows])
+        _entropy_from_samples(_mixture_matrix(g[lo:lo + rows], digits), weights[lo:lo + rows])
         for lo in range(0, len(nodes), rows)
     )
     # A mixture's entropy is at least its component entropy; falling below

@@ -4,7 +4,8 @@ Two LPs share one engine: minimize sum h_{i_1...i_Q} p_{i_1...i_Q} subject to
 fixed per-state marginals (the general problem), and the same with all
 marginals uniform 1/M (uniform transmission). The constraint system has
 MQ rows of which MQ - Q + 1 are independent; solving on a basis of that
-size yields optima with support at most MQ - Q + 1.
+size yields optima with support at most MQ - Q + 1. The engine is a
+one-phase revised simplex from a northwest-corner basis.
 
 The capacity oracle is Blahut-Arimoto on an output-discretized copy of the
 channel; its result is labeled as such.
@@ -66,6 +67,23 @@ def _marginal_rows(m: int, q: int) -> tuple[np.ndarray, list[int]]:
     return rows, [k for k in range(m * q) if k < m or k % m != m - 1]
 
 
+def _northwest_corner(per_state: np.ndarray) -> list[int]:
+    """Flat ranks of a starting basis for the marginals `per_state` (Q x M).
+
+    Every state's interior cumulative marginals are merged in one stable
+    sort; from letters (1, ..., 1) each breakpoint advances its state's
+    letter. The MQ - Q + 1 symbols visited each differ from the previous one
+    in one coordinate, so they are independent, and their basic values are
+    the gaps between consecutive breakpoints, hence >= 0.
+    """
+    q, m = per_state.shape
+    breaks = np.cumsum(per_state[:, :-1], axis=1).reshape(-1)
+    states = np.argsort(breaks, kind="stable") // (m - 1)
+    steps = np.zeros((states.size + 1, q), dtype=int)
+    steps[np.arange(1, states.size + 1), states] = 1
+    return np.ravel_multi_index(np.cumsum(steps, axis=0).T, (m,) * q).tolist()
+
+
 def _iterate_simplex(
     a: np.ndarray,
     b: np.ndarray,
@@ -96,9 +114,11 @@ def _iterate_simplex(
                 return basis, x_basic, iterations
             entering = int(candidates[0])
         else:
-            entering = int(np.argmin(reduced))
-            if reduced[entering] >= -_RC_TOL:
+            best = reduced.min()
+            if best >= -_RC_TOL:
                 return basis, x_basic, iterations
+            # Lowest index among near-ties, so h_t equal up to rounding enter alike on any BLAS.
+            entering = int(np.flatnonzero(reduced <= best + _RATIO_TIE_TOL)[0])
         direction = np.linalg.solve(basis_mat, a[:, entering])
         positive = direction > _PIVOT_TOL
         if not np.any(positive):
@@ -121,37 +141,6 @@ def _iterate_simplex(
             raise SimplexError("simplex failed to terminate")
 
 
-def _simplex_min(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, bland_after: int
-) -> tuple[np.ndarray, float, int, list[int]]:
-    """Two-phase dense simplex for min c.x s.t. a x = b, x >= 0 (b >= 0)."""
-    n_rows, n_cols = a.shape
-    # Phase 1: artificial identity basis.
-    a1 = np.hstack([a, np.eye(n_rows)])
-    c1 = np.concatenate([np.zeros(n_cols), np.ones(n_rows)])
-    basis = list(range(n_cols, n_cols + n_rows))
-    basis, x_basic, it1 = _iterate_simplex(a1, b, c1, basis, bland_after)
-    infeasibility = float(np.dot(c1[basis], x_basic))
-    if infeasibility > 1e-8:
-        raise SimplexError("infeasible marginal targets")
-    # Drive leftover zero-level artificials out of the basis.
-    for pos in range(n_rows):
-        if basis[pos] < n_cols:
-            continue
-        inv_row = np.linalg.solve(a1[:, basis].T, np.eye(n_rows)[pos])
-        pivots = np.abs(inv_row @ a)
-        pivots[[j for j in basis if j < n_cols]] = 0.0
-        j = int(np.argmax(pivots))
-        if pivots[j] <= 1e-9:
-            raise SimplexError("constraint rows are rank deficient")
-        basis[pos] = j
-    # Phase 2 on the real objective.
-    basis, x_basic, it2 = _iterate_simplex(a, b, c, basis, bland_after)
-    x = np.zeros(n_cols)
-    x[basis] = np.maximum(x_basic, 0.0)
-    return x, float(np.dot(c, x)), it1 + it2, basis
-
-
 def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
     """Minimize sum h*p over joint pmfs with the given per-state marginals.
 
@@ -163,9 +152,13 @@ def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
         raise ValueError("targets shape does not match the cost tensor")
     a, keep = _marginal_rows(m, q)
     b = targets.per_state.reshape(-1)
-    x, objective, iterations, basis = _simplex_min(
-        a[keep], b[keep], costs.values.reshape(-1), bland_after=10 * m * q
+    c = costs.values.reshape(-1)
+    basis, x_basic, iterations = _iterate_simplex(
+        a[keep], b[keep], c, _northwest_corner(targets.per_state), bland_after=10 * m * q
     )
+    x = np.zeros(c.size)
+    x[basis] = np.maximum(x_basic, 0.0)
+    objective = float(np.dot(c, x))
     residual = np.abs(a @ x - b).max()
     if residual > 1e-8:
         raise SimplexError(f"constraint residual {residual:.3e} exceeds 1e-8")
@@ -224,7 +217,8 @@ def _discretized_channel(spec: ChannelSpec, step: float | None) -> tuple[np.ndar
     n_cells = max(2, math.ceil((hi - lo) / step))
     centers = lo + (np.arange(n_cells) + 0.5) * step
     g = _entropy._components(spec, centers)
-    dens = _entropy._mixture_matrix(g, np.arange(spec.num_symbols))
+    digits = np.unravel_index(np.arange(spec.num_symbols), (spec.m,) * spec.q)
+    dens = _entropy._mixture_matrix(g, digits)
     # C order on purpose: BA's products `p @ w` run ~3x slower on the
     # F-ordered transpose once p holds subnormal entries.
     w = np.multiply(dens.T, step, order="C")

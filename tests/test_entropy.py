@@ -281,7 +281,8 @@ class TestMutualInformation:
         monkeypatch.setattr(
             entropy,
             "_mixture_matrix",
-            lambda g, ranks: samples.append(g.shape[0] * len(ranks)) or mixture_matrix(g, ranks),
+            lambda g, digits: samples.append(g.shape[0] * len(digits[0]))
+            or mixture_matrix(g, digits),
         )
         assert assignment_rate(a, spec, grid) == pytest.approx(full, abs=1e-12)
         # each support column once at every node, and no other column

@@ -16,7 +16,7 @@ from causalprecode import (
     solve_uniform_lp,
     support_reduce,
 )
-from causalprecode.optimize import _discretized_channel
+from causalprecode.optimize import _discretized_channel, _marginal_rows, _northwest_corner
 from helpers import (
     binary_spec,
     enumerate_vertex_objectives,
@@ -50,12 +50,14 @@ class TestMarginalLp:
         assert sol.pmf.prob((2, 2)) == pytest.approx(0.5, abs=1e-12)
         assert sol.objective == pytest.approx(a, abs=1e-12)
 
-    @pytest.mark.parametrize("m,q", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("m,q", [(3, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
     def test_matches_vertex_enumeration(self, m, q):
         rng = np.random.default_rng(100 + 10 * m + q)
-        for _ in range(3):
+        for k in range(4):
             costs = random_costs(rng, m, q)
             raw = rng.uniform(0.1, 1.0, size=(q, m))
+            if k == 3:  # zero letters, e.g. a row [0.5, 0, 0.5]
+                raw[::2, 1] = 0.0
             targets = MarginalSet(raw / raw.sum(axis=1, keepdims=True))
             sol = solve_marginal_lp(costs, targets)
             oracle = enumerate_vertex_objectives(
@@ -93,6 +95,28 @@ class TestMarginalLp:
             assert len(sol.pmf.support()) <= m * q - q + 1
             assert sol.basis_size == m * q - q + 1
 
+    def test_northwest_corner_is_a_feasible_basis(self):
+        rng = np.random.default_rng(43)
+        cases = [rng.dirichlet(np.ones(m), size=q) for m, q in [(4, 1), (2, 4), (3, 3), (5, 2)]]
+        cases += [
+            np.full((3, 4), 0.25),  # every breakpoint tied across states
+            np.asarray([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]]),
+            np.asarray([[0.25, 0.25, 0.5], [0.5, 0.0, 0.5]]),
+        ]
+        for per_state in cases:
+            q, m = per_state.shape
+            a, keep = _marginal_rows(m, q)
+            basis = _northwest_corner(per_state)
+            assert len(set(basis)) == len(basis) == m * q - q + 1
+            mat = a[keep][:, basis]
+            assert np.linalg.matrix_rank(mat) == len(basis)
+            x = np.linalg.solve(mat, per_state.reshape(-1)[keep])
+            assert x.min() >= -1e-12
+            p = np.zeros(m**q)
+            p[basis] = x
+            residual = marginal_constraint_matrix(m, q) @ p - per_state.reshape(-1)
+            assert np.abs(residual).max() <= 1e-12
+
     def test_degenerate_targets(self):
         # zero-probability letters force structural zeros
         costs = CostTensor(np.asarray([[1.0, 2.0], [3.0, 4.0]]))
@@ -121,6 +145,19 @@ class TestUniformLp:
             q = int(rng.integers(2, 4))
             sol = solve_uniform_lp(random_costs(rng, m, q))
             assert len(sol.pmf.support()) <= m * q - q + 1
+
+    @pytest.mark.parametrize("m,q", [(16, 3), (32, 2)])
+    def test_support_survives_rounding_of_the_costs(self, m, q):
+        # Many h_t of a random spec agree to 1e-15, so another summation
+        # order or BLAS kernel perturbs them at that level; the printed
+        # vertex must not move with it.
+        values = cost_tensor(random_spec(np.random.default_rng(0), m, q, 0.05)).values
+        base = solve_uniform_lp(CostTensor(values))
+        for seed in range(3):
+            flips = np.random.default_rng(seed).choice([-1, 0, 1], size=values.shape)
+            sol = solve_uniform_lp(CostTensor(values * (1 + 4e-16 * flips)))
+            assert sol.pmf.support() == base.pmf.support()
+            assert sol.iterations == base.iterations
 
 
 class TestBlahutArimoto:

@@ -1,6 +1,9 @@
 """Rules that the package's source code itself must keep."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "causalprecode"
@@ -17,3 +20,19 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements in the package: {found}"
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # `import scipy.optimize` costs 0.2-0.35 s, about half of a CLI call's
+    # set-up; the LP runs its own simplex so that no CLI path pays for it.
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, causalprecode.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
