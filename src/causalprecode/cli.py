@@ -47,6 +47,9 @@ SWEEP_CSV_VERSION = "causalprecode-sweep-v1"
 # columns fixed; beyond this M only the optimal assignment is tracked.
 _SWEEP_ALL_PERMUTATIONS_MAX_M = 4
 
+# Longest sweep: a wider --snr-db range fails before any work (exit 3).
+_SNR_POINTS_MAX = 10_000
+
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
@@ -145,7 +148,7 @@ def sweep_point(
     chosen = max(sorted(rates), key=lambda aid: rates[aid])
     ba = None
     if with_ba:
-        ba = _optimize.blahut_arimoto(point)
+        ba = _optimize.blahut_arimoto(point, costs=costs)
     return SweepRow(
         snr_db=snr_db,
         rate_per_assignment=rates,
@@ -188,10 +191,12 @@ def _parse_snr_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError("--snr-db expects a:b:step")
     lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
-        raise ValueError("--snr-db expects a <= b and step > 0")
-    count = int((hi - lo) / step + 1e-9) + 1
-    return [lo + k * step for k in range(count)]
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise ValueError("--snr-db expects finite a <= b and step > 0")
+    gaps = (hi - lo) / step + 1e-9  # may overflow to inf for finite a, b, step
+    if not gaps < _SNR_POINTS_MAX:
+        raise BudgetExceededError(f"--snr-db spans more than {_SNR_POINTS_MAX} points")
+    return [lo + k * step for k in range(int(gaps) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +206,8 @@ def _parse_snr_range(text: str) -> list[float]:
 
 def _cmd_capacity(args) -> int:
     spec = load_spec(args.specfile)
-    result = _optimize.blahut_arimoto(spec, tol=args.tol, max_iter=args.max_iter)
     costs = _entropy.cost_tensor(spec)
+    result = _optimize.blahut_arimoto(spec, costs=costs, tol=args.tol, max_iter=args.max_iter)
     reduced = _optimize.support_reduce(spec, result.pmf, costs=costs)
     reduced_mi = _entropy.mutual_information(reduced.pmf, spec, costs=costs)
     print(f"capacity_bits (discretized channel): {_fmt(result.capacity_bits)}")

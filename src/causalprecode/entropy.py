@@ -75,18 +75,13 @@ def _grid_nodes(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def output_window(spec: ChannelSpec) -> tuple[float, float]:
-    """Output range [lo, hi]: the extreme means widened by 10 noise sigmas."""
+def quadrature_grid(spec: ChannelSpec, nodes_per_panel: int = 32) -> QuadratureGrid:
+    """Default grid for a spec: panels of width sigma/2 from the extreme means
+    widened by 10 noise sigmas."""
     sigma = _sigma(spec)
     lo = min(spec.constellation) + min(spec.interference_levels) - _WINDOW_SIGMAS * sigma
     hi = max(spec.constellation) + max(spec.interference_levels) + _WINDOW_SIGMAS * sigma
-    return lo, hi
-
-
-def quadrature_grid(spec: ChannelSpec, nodes_per_panel: int = 32) -> QuadratureGrid:
-    """Default grid for a spec: panel width sigma/2 over the output window."""
-    lo, hi = output_window(spec)
-    panels = max(1, math.ceil((hi - lo) / (_sigma(spec) / 2.0)))
+    panels = max(1, math.ceil((hi - lo) / (sigma / 2.0)))
     return QuadratureGrid(lo, hi, panels, nodes_per_panel)
 
 

@@ -7,13 +7,13 @@ MQ rows of which MQ - Q + 1 are independent; solving on a basis of that
 size yields optima with support at most MQ - Q + 1. The engine is a
 one-phase revised simplex from a northwest-corner basis.
 
-The capacity oracle is Blahut-Arimoto on an output-discretized copy of the
-channel; its result is labeled as such.
+The capacity oracle is Blahut-Arimoto on the channel whose outputs are the
+nodes of the default quadrature grid; it prices every symbol from the cost
+tensor and an M x Q table of integrals on those nodes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +41,7 @@ class LpSolution:
 
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
-    """Blahut-Arimoto output for the discretized associated channel."""
+    """Blahut-Arimoto output for the associated channel on the quadrature nodes."""
 
     pmf: JointPmf
     capacity_bits: float
@@ -209,50 +209,44 @@ def support_reduce(
     return solve_marginal_lp(costs, marginals_of(p))
 
 
-def _discretized_channel(spec: ChannelSpec, step: float | None) -> tuple[np.ndarray, float]:
-    """Row-stochastic transition matrix onto a midpoint output grid."""
-    lo, hi = _entropy.output_window(spec)
-    if step is None:
-        step = math.sqrt(spec.noise_power) / 20.0
-    n_cells = max(2, math.ceil((hi - lo) / step))
-    centers = lo + (np.arange(n_cells) + 0.5) * step
-    g = _entropy._components(spec, centers)
-    digits = np.unravel_index(np.arange(spec.num_symbols), (spec.m,) * spec.q)
-    dens = _entropy._mixture_matrix(g, digits)
-    # C order on purpose: BA's products `p @ w` run ~3x slower on the
-    # F-ordered transpose once p holds subnormal entries.
-    w = np.multiply(dens.T, step, order="C")
-    w /= w.sum(axis=1, keepdims=True)
-    return w, step
-
-
 def blahut_arimoto(
     spec: ChannelSpec,
-    step: float | None = None,
+    costs: CostTensor | None = None,
     tol: float = 1e-7,
     max_iter: int = 10000,
     track_lower_bounds: bool = False,
 ) -> CapacityResult:
-    """Capacity of the output-discretized associated channel, in bits.
+    """Capacity of the associated channel with outputs on the quadrature nodes, in bits.
 
     Alternating maximization over the input pmf; stops when the per-symbol
     Kuhn-Tucker divergences agree within `tol` nats (max over all symbols
-    minus min over the support). The log(step) discretization offset cancels
-    inside the divergences, so the result approximates the continuous-output
-    capacity with O(step^2) error.
+    minus min over the support). Each divergence is
+    D_t = -h_t - sum_j G[i_j, j] with G[i, j] = integral of
+    r_j phi(y - x_i - s_j) ln p_Y(y), so an iteration needs only the cost
+    tensor `costs` (default: `cost_tensor(spec)`, which must be on the
+    default grid) and an M x Q table of those integrals.
     """
-    w, _ = _discretized_channel(spec, step)
-    n = w.shape[0]
-    w_log_w = -_entropy._entropy_from_samples(w.T, np.ones(w.shape[1]))  # sum_y w ln w
-    p = np.full(n, 1.0 / n)
+    grid = _entropy.quadrature_grid(spec)
+    if costs is None:
+        costs = _entropy.cost_tensor(spec, grid)
+    if (costs.m, costs.q) != (spec.m, spec.q):
+        raise ValueError("cost tensor shape does not match the channel spec")
+    nodes, weights = _entropy._grid_nodes(grid)
+    # Columns state-major, like the rows of `a`: column j*M + i is r_j phi(y - x_i - s_j).
+    g = _entropy._components(spec, nodes).transpose(0, 2, 1).reshape(len(nodes), -1)
+    live = g.any(axis=1)  # nodes where every component underflows add nothing
+    g, weights = g[live], weights[live]
+    a, _ = _marginal_rows(spec.m, spec.q)
+    h = costs.values.reshape(-1)
+    p = np.full(h.size, 1.0 / h.size)
     bounds: list[float] = []
     info = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        p_y = p @ w
+        p_y = g @ (a @ p)
         log_p_y = np.log(np.where(p_y > 0.0, p_y, 1.0))
-        div = w_log_w - w @ log_p_y  # KL(row_t || output), nats
+        div = -h - ((weights * log_p_y) @ g) @ a  # KL(density of t || p_Y), nats
         info = float(np.dot(p, div))
         if track_lower_bounds:
             bounds.append(info / LN2)

@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import ChannelSpec, PrecoderCode, snr_db_of
 
@@ -86,6 +85,8 @@ def _run_batch(
     spec: ChannelSpec,
 ) -> tuple[int, float]:
     """Simulate trials [start, start+count); returns (errors, summed posterior entropy in nats)."""
+    from scipy.special import ndtri  # here: its import is half a CLI call's set-up
+
     bits = np.random.Philox(key=seed)
     bits.advance(start)  # one counter block per trial
     u = np.random.Generator(bits).random((count, _DRAWS_PER_TRIAL))

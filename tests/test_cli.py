@@ -221,6 +221,25 @@ class TestSweepCommand:
         path = binary_spec_file()
         assert run(["sweep", path, "--snr-db=5:1:1"]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("snr_db", ["0:inf:1", "-inf:0:1", "nan:1:1"])
+    def test_non_finite_range_is_bad_input(self, binary_spec_file, snr_db, capsys):
+        path = binary_spec_file()
+        assert run(["sweep", path, f"--snr-db={snr_db}"]) == EXIT_BAD_INPUT
+        assert "finite" in capsys.readouterr().err
+
+    def test_range_beyond_the_point_budget_fails_before_any_work(
+        self, binary_spec_file, monkeypatch, capsys
+    ):
+        path = binary_spec_file()
+
+        def no_work(*args):
+            raise AssertionError("sweep point computed for an over-budget range")
+
+        monkeypatch.setattr(cli, "sweep_point", no_work)
+        assert run(["sweep", path, "--snr-db=0:1e12:1e-9"]) == EXIT_BUDGET
+        assert run(["sweep", path, "--snr-db=0:10000:1"]) == EXIT_BUDGET
+        assert "10000 points" in capsys.readouterr().err
+
 
 def _gaussian_mixture(means, weights, var):
     norm = 1.0 / math.sqrt(2.0 * math.pi * var)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from causalprecode import (
     solve_uniform_lp,
     support_reduce,
 )
-from causalprecode.optimize import _discretized_channel, _marginal_rows, _northwest_corner
+from causalprecode.optimize import _marginal_rows, _northwest_corner
 from helpers import (
     binary_spec,
+    dense_blahut_arimoto,
     enumerate_vertex_objectives,
     ipf_feasible_point,
     marginal_constraint_matrix,
@@ -160,6 +162,18 @@ class TestUniformLp:
             assert sol.iterations == base.iterations
 
 
+def _ba_oracle_specs():
+    rng = np.random.default_rng(11)
+    shapes = [(2, 2, 0.33), (3, 2, 0.81), (2, 3, 0.49), (4, 3, 0.64), (3, 3, 0.15), (4, 4, 0.36)]
+    return [random_spec(rng, m, q, noise_power) for m, q, noise_power in shapes] + [
+        binary_spec(noise_power=10 ** (-snr_db / 10.0)) for snr_db in (-5, 20, 40, 60)
+    ] + [
+        # Means 100 sigma apart at sigma = 1/2: midway, a node's only nonzero
+        # component can be one subnormal step, so p_Y there underflows to 0.
+        ChannelSpec((-25.0, 25.0), (0.0,), (1.0,), 0.25)
+    ]
+
+
 class TestBlahutArimoto:
     def test_clean_binary_awgn_limit(self):
         # single interference level at 0, well-separated inputs, tiny noise
@@ -212,10 +226,36 @@ class TestBlahutArimoto:
             ba = blahut_arimoto(spec)
             assert lp.rate_bits - 1e-6 <= ba.capacity_bits <= 1.0 + 1e-6
 
-    def test_channel_matrix_is_row_stochastic_and_c_ordered(self):
-        w, _ = _discretized_channel(random_spec(np.random.default_rng(5), 3, 2, 0.2), None)
-        assert w.flags.c_contiguous
-        assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    @pytest.mark.parametrize(
+        "spec",
+        _ba_oracle_specs(),
+        ids=["2-2", "3-2", "2-3", "4-3", "3-3", "4-4",
+             "binary-5dB", "binary20dB", "binary40dB", "binary60dB", "apart100sigma"],
+    )
+    def test_matches_dense_midpoint_channel(self, spec):
+        # The same iteration on a dense M^Q x cells channel over sigma/20
+        # midpoint cells, built without the package's component table.
+        # At 2,000 iterations 3-2, 4-3 and 4-4 stop unconverged; both must stop alike.
+        capacity, pmf, converged, iterations = dense_blahut_arimoto(
+            spec, math.sqrt(spec.noise_power) / 20.0, max_iter=2000
+        )
+        result = blahut_arimoto(spec, max_iter=2000)
+        assert (result.converged, result.iterations) == (converged, iterations)
+        assert result.capacity_bits == pytest.approx(capacity, abs=1e-10)
+        assert np.abs(result.pmf.probs - pmf).max() < 1e-10
+
+    def test_memory_does_not_grow_with_symbols_times_nodes(self):
+        # A dense 4096 x cells channel matrix would peak at 144 MB here.
+        spec = ChannelSpec((-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0),
+                           (-3.0, -1.0, 1.0, 3.0), (0.25,) * 4, 0.05)
+        costs = cost_tensor(spec)
+        tracemalloc.start()
+        try:
+            blahut_arimoto(spec, costs=costs, max_iter=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestSupportReduce:

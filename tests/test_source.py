@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "causalprecode"
 
 
@@ -22,11 +24,13 @@ def test_no_assert_statements_in_the_package():
     assert found == [], f"assert statements in the package: {found}"
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    # `import scipy.optimize` costs 0.2-0.35 s, about half of a CLI call's
-    # set-up; the LP runs its own simplex so that no CLI path pays for it.
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special"])
+def test_cli_import_does_not_load_scipy_optimize(module):
+    # Importing either module costs 0.2-0.35 s, about half of a CLI call's
+    # set-up: the LP runs its own simplex, and sim imports scipy.special only
+    # when it simulates, so that no other CLI path pays for them.
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    probe = "import sys, causalprecode.cli; print('scipy.optimize' in sys.modules)"
+    probe = f"import sys, causalprecode.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": path},
