@@ -130,12 +130,11 @@ def sweep_point(
     point = replace(
         spec, noise_power=noise_power_for_snr_db(spec.constellation, snr_db)
     )
-    grid = _entropy.quadrature_grid(point)
-    costs = _entropy.cost_tensor(point, grid)
+    costs = _entropy.cost_tensor(point)
     lp = _optimize.solve_uniform_lp(costs)
     # The LP optimum and every assignment have uniform marginals, so they
     # share one h(Y) and each rate is h(Y) minus its mean cost.
-    h_y = _entropy.output_entropy(MarginalSet.uniform(point.m, point.q), point, grid)
+    h_y = _entropy.output_entropy(MarginalSet.uniform(point.m, point.q), point)
     if ids is None:
         tuples = _assign.assign(costs).tuples
         tuple_sets = {assignment_id(tuples): tuples}
@@ -206,6 +205,7 @@ def _parse_snr_range(text: str) -> list[float]:
 
 def _cmd_capacity(args) -> int:
     spec = load_spec(args.specfile)
+    _optimize.check_marginal_budget(spec.m, spec.q)
     costs = _entropy.cost_tensor(spec)
     result = _optimize.blahut_arimoto(spec, costs=costs, tol=args.tol, max_iter=args.max_iter)
     reduced = _optimize.support_reduce(spec, result.pmf, costs=costs)
@@ -222,9 +222,9 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_uniform(args) -> int:
     spec = load_spec(args.specfile)
-    grid = _entropy.quadrature_grid(spec)
-    costs = _entropy.cost_tensor(spec, grid)
-    sol = _optimize.solve_uniform_lp(costs, spec, grid)
+    _optimize.check_marginal_budget(spec.m, spec.q)
+    costs = _entropy.cost_tensor(spec)
+    sol = _optimize.solve_uniform_lp(costs, spec)
     print(f"objective (sum h*p, nats): {_fmt(sol.objective)}")
     print(f"uniform-transmission rate bits: {_fmt(float(sol.rate_bits))}")
     support = sol.pmf.support()
@@ -236,10 +236,9 @@ def _cmd_uniform(args) -> int:
 
 def _cmd_assign(args) -> int:
     spec = load_spec(args.specfile)
-    grid = _entropy.quadrature_grid(spec)
-    costs = _entropy.cost_tensor(spec, grid)
+    costs = _entropy.cost_tensor(spec)
     a = _assign.assign(costs)
-    rate = _assign.assignment_rate(a, spec, grid, costs)
+    rate = _assign.assignment_rate(a, spec, costs=costs)
     print(f"assignment ({assignment_id(a.tuples)}), total cost {_fmt(a.total_cost)} nats")
     print(f"rate bits: {_fmt(rate)}")
     code = a.code()
@@ -290,6 +289,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_spec(args.specfile)
+    _optimize.check_marginal_budget(spec.m, spec.q)
     snrs = _parse_snr_range(args.snr_db)
     ids = _sweep_assignment_ids(spec)
     if args.workers > 1:

@@ -19,13 +19,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import entropy as _entropy
-from .model import SUPPORT_THRESHOLD, ChannelSpec, JointPmf, MarginalSet, marginals_of
+from .model import (
+    SUPPORT_THRESHOLD,
+    BudgetExceededError,
+    ChannelSpec,
+    JointPmf,
+    MarginalSet,
+    marginals_of,
+)
 from .entropy import LN2, CostTensor, QuadratureGrid
 
 # Reduced-cost / pivot tolerances for the dense simplex.
 _RC_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _RATIO_TIE_TOL = 1e-12
+
+# Largest dense marginal-constraint matrix, MQ x M^Q elements (128 MiB of
+# float64); the LPs and Blahut-Arimoto refuse larger instances.
+MARGINAL_MATRIX_MAX = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +65,15 @@ class SimplexError(RuntimeError):
     """Internal simplex failure (should not occur on transportation instances)."""
 
 
+def check_marginal_budget(m: int, q: int) -> None:
+    """Raise BudgetExceededError if the MQ x M^Q marginal matrix is too large."""
+    if m * q * m**q > MARGINAL_MATRIX_MAX:
+        raise BudgetExceededError(
+            f"marginal constraints for M={m}, Q={q} take MQ x M^Q = {m * q * m**q} "
+            f"elements, beyond the budget of {MARGINAL_MATRIX_MAX}"
+        )
+
+
 def _marginal_rows(m: int, q: int) -> tuple[np.ndarray, list[int]]:
     """All MQ marginal-constraint rows over the M^Q lexicographic symbols, and
     the indices of MQ - Q + 1 independent ones among them.
@@ -62,6 +82,7 @@ def _marginal_rows(m: int, q: int) -> tuple[np.ndarray, list[int]]:
     kept; for every later state the last letter's row is dropped (it is
     implied by the others, since every state's rows sum to the total mass).
     """
+    check_marginal_budget(m, q)
     digits = np.unravel_index(np.arange(m**q), (m,) * q)
     rows = np.asarray([digits[s] == i for s in range(q) for i in range(m)], dtype=float)
     return rows, [k for k in range(m * q) if k < m or k % m != m - 1]
@@ -181,13 +202,11 @@ def solve_uniform_lp(
     """Uniform transmission: solve_marginal_lp with every marginal = 1/M.
 
     When `spec` is given, the achieved rate h(Y) - objective is reported in
-    bits via `rate_bits`.
+    bits via `rate_bits`, with h(Y) on `grid` if one is given.
     """
     sol = solve_marginal_lp(costs, MarginalSet.uniform(costs.m, costs.q))
     if spec is None:
         return sol
-    if grid is None:
-        grid = _entropy.quadrature_grid(spec)
     h_y = _entropy.output_entropy(MarginalSet.uniform(spec.m, spec.q), spec, grid)
     return replace(sol, rate_bits=(h_y - sol.objective) / LN2)
 
@@ -223,12 +242,12 @@ def blahut_arimoto(
     minus min over the support). Each divergence is
     D_t = -h_t - sum_j G[i_j, j] with G[i, j] = integral of
     r_j phi(y - x_i - s_j) ln p_Y(y), so an iteration needs only the cost
-    tensor `costs` (default: `cost_tensor(spec)`, which must be on the
-    default grid) and an M x Q table of those integrals.
+    tensor `costs` (default: `cost_tensor(spec)`) and an M x Q table of
+    those integrals on the nodes of `quadrature_grid(spec)`.
     """
     grid = _entropy.quadrature_grid(spec)
     if costs is None:
-        costs = _entropy.cost_tensor(spec, grid)
+        costs = _entropy.cost_tensor(spec)
     if (costs.m, costs.q) != (spec.m, spec.q):
         raise ValueError("cost tensor shape does not match the channel spec")
     nodes, weights = _entropy._grid_nodes(grid)

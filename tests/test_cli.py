@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +161,29 @@ class TestBadInput:
 
     def test_usage_error(self, capsys):
         assert run(["sweep"]) == EXIT_BAD_INPUT  # missing required args
+
+    def test_marginal_matrix_beyond_the_budget_fails_before_any_work(self, tmp_path, capsys):
+        # M = 16, Q = 5: 16^5 symbols pass the spec's cap, but the MQ x M^Q
+        # marginal matrix would hold 83.9M elements.
+        path = tmp_path / "big.spec"
+        path.write_text(
+            "constellation = " + " ".join(str(i) for i in range(16)) + "\n"
+            "interference_levels = 0 0.1 0.2 0.3 0.4\n"
+            "interference_probs = 0.2 0.2 0.2 0.2 0.2\n"
+            "noise_power = 0.01\n"
+        )
+        tracemalloc.start()
+        try:
+            codes = [run([cmd, str(path)] + extra) for cmd, extra in
+                     (("uniform", []), ("capacity", []), ("sweep", ["--snr-db=0:10:5"]))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codes == [EXIT_BUDGET] * 3
+        assert peak < 1 << 20
+        assert "beyond the budget" in capsys.readouterr().err
+        # the largest benchmark instance, PAM-8/Q=4, stays under the budget
+        optimize.check_marginal_budget(8, 4)
 
 
 class TestSweepCommand:

@@ -318,3 +318,133 @@ class TestMutualInformation:
         )
         oracle_bits = (h_y - h_y_t) / math.log(2.0)
         assert mutual_information(p, spec) == pytest.approx(oracle_bits, abs=1e-7)
+
+
+PAM8Q4 = ((-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0), (-3.0, -1.0, 1.0, 3.0), (0.25,) * 4)
+
+
+def _mixture(means, weights, sigma):
+    return lambda y: sum(w * phi(y, mu, sigma * sigma) for mu, w in zip(means, weights))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestClusterSplit:
+    """The default (grid-less) path: mixtures split where neighbouring means
+    lie more than 20 sigma apart, each distinct cluster integrated once."""
+
+    @pytest.mark.parametrize("gap", [19.9, 20.0, 20.1])
+    def test_gaps_around_the_split_against_riemann(self, gap):
+        sigma = 0.3
+        means = sigma * np.array([0.0, 1.5, 1.5 + gap])
+        weights = np.array([0.2, 0.3, 0.5])
+        got = entropy._mixture_entropies(means[None], weights[None], sigma)[0]
+        oracle = riemann_entropy(
+            _mixture(means, weights, sigma), -12 * sigma, means[-1] + 12 * sigma
+        )
+        assert got == pytest.approx(oracle, abs=1e-9)
+
+    def test_coincident_means_are_one_gaussian(self):
+        sigma = 0.2
+        means = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0 + 30 * sigma]])
+        weights = np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
+        got = entropy._mixture_entropies(means, weights, sigma)
+        assert got[0] == pytest.approx(gaussian_entropy(sigma * sigma), abs=1e-12)
+        for h, mu in zip(got, means):
+            oracle = riemann_entropy(
+                _mixture(mu, weights[0], sigma), 1.0 - 12 * sigma, mu.max() + 12 * sigma
+            )
+            assert h == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("noise_power", [0.5, 1e-4])
+    def test_output_entropy_with_zero_marginal_entries(self, noise_power):
+        # At 1e-4 the zero-weight component x_2 + s_1 = 0 sits alone, 100
+        # sigma from every live one.
+        spec = binary_spec(noise_power)
+        marg = MarginalSet(np.array([[1.0, 0.0], [0.25, 0.75]]))
+        got = entropy.output_entropy(marg, spec)
+        oracle = riemann_entropy(lambda y: output_pdf(marg, y, spec), *entropy._window(spec))
+        assert got == pytest.approx(oracle, abs=1e-9)
+        assert got == pytest.approx(
+            entropy.output_entropy(marg, spec, quadrature_grid(spec)), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("snr_db", [-5.0, 20.0, 60.0])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ChannelSpec((-1.0, 1.0), (-1.0, 1.0), (0.4, 0.6), 1.0),
+            ChannelSpec((-3.0, -1.0, 1.0, 3.0), (-1.0, 1.0), (0.3, 0.7), 1.0),
+        ],
+        ids=["binary", "pam4q2"],
+    )
+    def test_cost_tensor_and_output_entropy_against_riemann(self, spec, snr_db):
+        point = replace(spec, noise_power=noise_power_for_snr_db(spec.constellation, snr_db))
+        sigma = math.sqrt(point.noise_power)
+        lo, hi = entropy._window(point)
+        lo, hi = lo - 2 * sigma, hi + 2 * sigma
+        costs = cost_tensor(point)
+        for t in np.ndindex(costs.values.shape):
+            symbol = tuple(i + 1 for i in t)
+            oracle = riemann_entropy(lambda y: mixture_pdf(symbol, y, point), lo, hi)
+            assert costs.values[t] == pytest.approx(oracle, abs=1e-9)
+        uniform = MarginalSet.uniform(point.m, point.q)
+        oracle = riemann_entropy(lambda y: output_pdf(uniform, y, point), lo, hi)
+        assert entropy.output_entropy(uniform, point) == pytest.approx(oracle, abs=1e-9)
+
+    def test_split_matches_the_explicit_grid(self, monkeypatch):
+        # Every symbol set takes the split, however many distinct clusters.
+        monkeypatch.setattr(entropy, "_SPLIT_WORK_RATIO", math.inf)
+        rng = np.random.default_rng(53)
+        for m, q in [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3)]:
+            for snr_db in (-5.0, 5.0, 15.0, 30.0, 45.0, 60.0):
+                spec = random_spec(rng, m, q, 1.0)
+                spec = replace(
+                    spec, noise_power=noise_power_for_snr_db(spec.constellation, snr_db)
+                )
+                grid = quadrature_grid(spec)
+                assert np.abs(
+                    cost_tensor(spec).values - cost_tensor(spec, grid).values
+                ).max() <= 1e-12
+                raw = rng.uniform(size=(q, m)) * (rng.uniform(size=(q, m)) < 0.7)
+                raw[:, 0] += 0.1
+                marg = MarginalSet(raw / raw.sum(axis=1, keepdims=True))
+                assert entropy.output_entropy(marg, spec) == pytest.approx(
+                    entropy.output_entropy(marg, spec, grid), abs=1e-12
+                )
+
+    def test_density_samples_do_not_grow_with_snr(self, monkeypatch):
+        # PAM-8/Q=4: 36 distinct clusters at P_N = 0.05; at 1e-6 every
+        # cluster is one Gaussian or coincident means, in closed form.
+        samples = [0]
+        budget = [math.inf]
+        reduce = entropy._entropy_from_samples
+
+        def counted(p, weights):
+            samples[0] += p.size
+            if samples[0] > budget[0]:
+                raise AssertionError(f"more than {budget[0]} density samples")
+            return reduce(p, weights)
+
+        monkeypatch.setattr(entropy, "_entropy_from_samples", counted)
+        cost_tensor(ChannelSpec(*PAM8Q4, 0.05))
+        budget[0], samples[0] = samples[0], 0
+        cost_tensor(ChannelSpec(*PAM8Q4, 1e-6))
+        assert samples[0] <= budget[0]
+
+    def test_split_keeps_the_floor_check(self, monkeypatch):
+        # Cluster grids that stop at the extreme means miss the outer half
+        # of every component: the truncated integrals fall below the
+        # Gaussian floor.
+        monkeypatch.setattr(entropy, "_SPLIT_WORK_RATIO", math.inf)
+        monkeypatch.setattr(entropy, "_WINDOW_SIGMAS", 0.0)
+        with pytest.raises(ValueError, match="Gaussian floor"):
+            cost_tensor(binary_spec(noise_power=0.1))
+
+    @pytest.mark.parametrize(
+        "means,weights",
+        [([[0.0, np.inf]], [[0.5, 0.5]]), ([[0.0, 1.0]], [[np.nan, 1.0]]),
+         ([[0.0, 1.0]], [[-0.5, 1.5]]), ([[0.0, 1.0]], [[0.0, 0.0]])],
+    )
+    def test_bad_mixtures_rejected(self, means, weights):
+        with pytest.raises(ValueError, match="finite|positive"):
+            entropy._mixture_entropies(np.array(means), np.array(weights), 1.0)
