@@ -25,7 +25,7 @@ from .model import (
     PrecoderCode,
     code_pmf,
 )
-from .entropy import CostTensor, QuadratureGrid
+from .entropy import CostTensor
 
 # Exact-search budget for the multidimensional solver.
 _MAX_M = 8
@@ -209,6 +209,24 @@ def _bnb_search(
     return best
 
 
+def _check_search_budget(m: int, q: int) -> None:
+    if m > _MAX_M or q > _MAX_Q:
+        raise BudgetExceededError(
+            f"instance too large for exact solver (M={m}, Q={q}; "
+            f"beyond the budget of M<={_MAX_M}, Q<={_MAX_Q})"
+        )
+
+
+def check_budget(m: int, q: int) -> None:
+    """Raise BudgetExceededError if `assign` cannot take an M, Q instance.
+
+    Q = 2 goes to the Hungarian method, which has no budget; any other Q to
+    the exact search, which takes M <= 8 and Q <= 4.
+    """
+    if q != 2:
+        _check_search_budget(m, q)
+
+
 def multidim_assignment(cost) -> Assignment:
     """Exact minimum-cost axial assignment for a (M,)*Q cost tensor.
 
@@ -220,10 +238,7 @@ def multidim_assignment(cost) -> Assignment:
     values = _as_array(cost)
     n = values.shape[0]
     q = values.ndim
-    if n > _MAX_M or q > _MAX_Q:
-        raise BudgetExceededError(
-            f"instance too large for exact solver (M={n}, Q={q}; budget M<=8, Q<=4)"
-        )
+    _check_search_budget(n, q)
     if q == 1:
         return Assignment(
             tuples=tuple((i,) for i in range(1, n + 1)),
@@ -245,16 +260,9 @@ def assign(costs: CostTensor) -> Assignment:
     return hungarian(costs.values) if costs.q == 2 else multidim_assignment(costs)
 
 
-def assignment_rate(
-    a: Assignment,
-    spec: ChannelSpec,
-    grid: QuadratureGrid | None = None,
-    costs: CostTensor | None = None,
-) -> float:
+def assignment_rate(a: Assignment, spec: ChannelSpec, costs: CostTensor | None = None) -> float:
     """Mutual information (bits) of the pmf placing 1/M on each tuple of `a`.
 
     Rates `a.tuples`, not `a.total_cost`; h_t comes from `costs` when given.
     """
-    return _entropy.mutual_information(
-        code_pmf(a.code(), spec.m), spec, grid=grid, costs=costs
-    )
+    return _entropy.mutual_information(code_pmf(a.code(), spec.m), spec, costs=costs)

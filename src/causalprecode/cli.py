@@ -9,7 +9,7 @@ SNR convention: SNR = (average constellation power under uniform inputs)
 constellation this makes SNR = 1 / P_N.
 
 Exit codes: 0 success, 2 bad input, 3 solver budget exceeded,
-4 non-convergence.
+4 non-convergence. Every budget is checked before the work it guards.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -205,7 +206,7 @@ def _parse_snr_range(text: str) -> list[float]:
 
 def _cmd_capacity(args) -> int:
     spec = load_spec(args.specfile)
-    _optimize.check_marginal_budget(spec.m, spec.q)
+    _optimize.check_capacity_budget(spec)
     costs = _entropy.cost_tensor(spec)
     result = _optimize.blahut_arimoto(spec, costs=costs, tol=args.tol, max_iter=args.max_iter)
     reduced = _optimize.support_reduce(spec, result.pmf, costs=costs)
@@ -236,6 +237,7 @@ def _cmd_uniform(args) -> int:
 
 def _cmd_assign(args) -> int:
     spec = load_spec(args.specfile)
+    _assign.check_budget(spec.m, spec.q)
     costs = _entropy.cost_tensor(spec)
     a = _assign.assign(costs)
     rate = _assign.assignment_rate(a, spec, costs=costs)
@@ -291,6 +293,9 @@ def _cmd_sweep(args) -> int:
     spec = load_spec(args.specfile)
     _optimize.check_marginal_budget(spec.m, spec.q)
     snrs = _parse_snr_range(args.snr_db)
+    if args.with_ba:  # the highest SNR has the most quadrature nodes
+        top = noise_power_for_snr_db(spec.constellation, snrs[-1])
+        _optimize.check_capacity_budget(replace(spec, noise_power=top))
     ids = _sweep_assignment_ids(spec)
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -311,6 +316,21 @@ def _cmd_sweep(args) -> int:
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
+
+
+def _available_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _workers(text: str) -> int:
+    """--workers: at least 1, and no more threads than CPUs available.
+
+    Reports do not depend on the worker count, so the clamp is silent.
+    """
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return min(n, _available_cpus())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="SNR sweep CSV of rates and assignments")
@@ -354,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the CSV here (default stdout)")
     p.add_argument("--with-ba", action="store_true",
                    help="also compute BA capacity per point")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(func=_cmd_sweep)
     return parser
 

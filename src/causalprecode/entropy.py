@@ -6,16 +6,15 @@ evaluates that likelihood, the output density induced by per-state marginals,
 the tensor of conditional differential entropies h_{i_1...i_Q}, and
 I(T;Y) = h(Y) - sum_t p(t) h_t.
 
-With no grid given, mixture entropies go through one kernel,
-`_mixture_entropies`: each mixture is split where neighbouring means lie
-more than 20 sigma apart, and h = sum_c W_c h_c + H(W) over its clusters.
-A cluster's h_c is closed form for a single Gaussian, and otherwise an
-integral computed once per distinct cluster shape, so the cost does not
-grow with SNR. Symbol sets whose distinct clusters would cost more than the
-default grid (`quadrature_grid`) fall back to it, as does every call given
-an explicit grid: there every density is a sum over one component table
+Mixture entropies go through one kernel, `_mixture_entropies`: each
+mixture is split where neighbouring means lie more than 20 sigma apart, and
+h = sum_c W_c h_c + H(W) over its clusters. A cluster's h_c is closed form
+for a single Gaussian, and otherwise an integral computed once per distinct
+cluster shape, so the cost does not grow with SNR. Symbol sets whose
+distinct clusters would cost more than the default grid (`quadrature_grid`)
+fall back to it: there every density is a sum over one component table
 r_j phi(y - x_i - s_j), and every entropy one weighted reduction of density
-samples.
+samples. The input sizes choose the path; no caller does.
 
 All internal entropies are in nats; conversion to bits happens only at API
 boundaries.
@@ -423,7 +422,7 @@ def _mixture_entropies(means: np.ndarray, weights: np.ndarray, sigma: float) -> 
 
 
 def _default_entropies(spec: ChannelSpec, ranks: np.ndarray) -> np.ndarray:
-    """h_t in nats for the symbols with the given flat ranks, with no grid given.
+    """h_t in nats for the symbols with the given flat ranks.
 
     The cluster split runs unless its distinct clusters take more than
     _SPLIT_WORK_RATIO times the samples x components of `_symbol_entropies`
@@ -442,30 +441,18 @@ def _default_entropies(spec: ChannelSpec, ranks: np.ndarray) -> np.ndarray:
     return split.entropies()
 
 
-def cost_tensor(spec: ChannelSpec, grid: QuadratureGrid | None = None) -> CostTensor:
-    """Differential entropy of the output for every associated symbol.
-
-    With no `grid`, by `_default_entropies`; with one, on that grid.
-    """
-    ranks = np.arange(spec.num_symbols)
-    if grid is None:
-        values = _default_entropies(spec, ranks)
-    else:
-        values = _symbol_entropies(spec, grid, ranks)
+def cost_tensor(spec: ChannelSpec) -> CostTensor:
+    """Differential entropy of the output for every associated symbol."""
+    values = _default_entropies(spec, np.arange(spec.num_symbols))
     return CostTensor(values.reshape((spec.m,) * spec.q))
 
 
-def output_entropy(
-    marginals: MarginalSet, spec: ChannelSpec, grid: QuadratureGrid | None = None
-) -> float:
+def output_entropy(marginals: MarginalSet, spec: ChannelSpec) -> float:
     """h(Y) in nats for inputs with the given per-state marginals.
 
-    With no `grid`, the MQ-component output mixture goes through the cluster
-    split, which never integrates more than the default grid would.
+    The MQ-component output mixture goes through the cluster split, which
+    never integrates more than the default grid would.
     """
-    if grid is not None:
-        nodes, weights = _grid_nodes(grid)
-        return float(_entropy_from_samples(output_pdf(marginals, nodes, spec), weights))
     if marginals.m != spec.m or marginals.q != spec.q:
         raise ValueError("marginal shape does not match the channel spec")
     means = np.add.outer(spec.interference_levels, spec.constellation).reshape(1, -1)
@@ -473,28 +460,18 @@ def output_entropy(
     return float(_mixture_entropies(means, weights, _sigma(spec))[0])
 
 
-def mutual_information(
-    p: JointPmf,
-    spec: ChannelSpec,
-    grid: QuadratureGrid | None = None,
-    costs: CostTensor | None = None,
-) -> float:
+def mutual_information(p: JointPmf, spec: ChannelSpec, costs: CostTensor | None = None) -> float:
     """I(T;Y) = h(Y) - sum_t p(t) h_t in bits, for input distribution p.
 
     h(Y) is computed from the per-state marginals of p. h_t is read from
-    `costs` when given, else evaluated for the support of p only, on `grid`
-    if one is given.
+    `costs` when given, else evaluated for the support of p only.
     """
     if p.m != spec.m or p.q != spec.q:
         raise ValueError("pmf shape does not match the channel spec")
     if costs is None:
         support = np.flatnonzero(p.probs)
-        if grid is None:
-            h_support = _default_entropies(spec, support)
-        else:
-            h_support = _symbol_entropies(spec, grid, support)
-        h_cond = np.dot(p.probs[support], h_support)
+        h_cond = np.dot(p.probs[support], _default_entropies(spec, support))
     else:
         h_cond = np.dot(p.probs, costs.values.reshape(-1))
-    h_y = output_entropy(marginals_of(p), spec, grid)
+    h_y = output_entropy(marginals_of(p), spec)
     return (h_y - float(h_cond)) / LN2

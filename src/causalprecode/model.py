@@ -192,11 +192,11 @@ class JointPmf:
         """The pmf reshaped to a (M,)*Q array."""
         return self.probs.reshape((self.m,) * self.q)
 
-    def support(self, threshold: float = SUPPORT_THRESHOLD) -> list[AssociatedSymbol]:
-        """Symbols with probability above `threshold`, in lexicographic order."""
+    def support(self) -> list[AssociatedSymbol]:
+        """Symbols with probability above SUPPORT_THRESHOLD, in lexicographic order."""
         return [
             symbol_from_rank(int(r), self.m, self.q)
-            for r in np.nonzero(self.probs > threshold)[0]
+            for r in np.nonzero(self.probs > SUPPORT_THRESHOLD)[0]
         ]
 
 

@@ -28,6 +28,9 @@ from .model import (
 _MAX_M = 5
 _MAX_Q = 3
 
+# Relative tolerance on the gaps of an arithmetic progression.
+_AP_REL_TOL = 1e-9
+
 _SNAP_DENOMINATOR = 10**12
 _SNAP_TOL = 1e-12
 
@@ -71,17 +74,17 @@ class ZeroErrorCode:
             raise ValueError("each multiset must have exactly Q elements")
 
 
-def is_arithmetic_progression(values, rel_tol: float = 1e-9) -> bool:
+def is_arithmetic_progression(values) -> bool:
     """True iff consecutive differences of the sorted-ascending input are equal.
 
-    Differences are compared with relative tolerance `rel_tol`.
+    Differences are compared with relative tolerance _AP_REL_TOL.
     """
     vals = [float(v) for v in values]
     if len(vals) < 3:
         return True
     diffs = [b - a for a, b in zip(vals, vals[1:])]
     scale = max(abs(d) for d in diffs)
-    return all(abs(d - diffs[0]) <= rel_tol * scale for d in diffs)
+    return all(abs(d - diffs[0]) <= _AP_REL_TOL * scale for d in diffs)
 
 
 def output_multisets(code: PrecoderCode, spec: ChannelSpec) -> tuple[OutputMultiset, ...]:

@@ -27,16 +27,17 @@ from .model import (
     MarginalSet,
     marginals_of,
 )
-from .entropy import LN2, CostTensor, QuadratureGrid
+from .entropy import LN2, CostTensor
 
 # Reduced-cost / pivot tolerances for the dense simplex.
 _RC_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _RATIO_TIE_TOL = 1e-12
 
-# Largest dense marginal-constraint matrix, MQ x M^Q elements (128 MiB of
-# float64); the LPs and Blahut-Arimoto refuse larger instances.
-MARGINAL_MATRIX_MAX = 1 << 24
+# Largest dense matrix, in float64 elements (128 MiB): the MQ x M^Q
+# marginal constraints of the LPs and Blahut-Arimoto, and Blahut-Arimoto's
+# nodes x MQ component table. Larger instances are refused before any work.
+DENSE_ELEMENTS_MAX = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,20 +59,38 @@ class CapacityResult:
     capacity_bits: float
     converged: bool
     iterations: int
-    lower_bounds: tuple[float, ...] | None = None
+    lower_bounds: tuple[float, ...]  # I(p) in bits at every iteration
 
 
 class SimplexError(RuntimeError):
     """Internal simplex failure (should not occur on transportation instances)."""
 
 
+def _check_elements(what: str, elements: int) -> None:
+    if elements > DENSE_ELEMENTS_MAX:
+        raise BudgetExceededError(
+            f"{what} = {elements} elements, beyond the budget of {DENSE_ELEMENTS_MAX}"
+        )
+
+
 def check_marginal_budget(m: int, q: int) -> None:
     """Raise BudgetExceededError if the MQ x M^Q marginal matrix is too large."""
-    if m * q * m**q > MARGINAL_MATRIX_MAX:
-        raise BudgetExceededError(
-            f"marginal constraints for M={m}, Q={q} take MQ x M^Q = {m * q * m**q} "
-            f"elements, beyond the budget of {MARGINAL_MATRIX_MAX}"
-        )
+    _check_elements(f"marginal constraints for M={m}, Q={q} take MQ x M^Q", m * q * m**q)
+
+
+def check_capacity_budget(spec: ChannelSpec) -> None:
+    """Raise BudgetExceededError if Blahut-Arimoto's marginal matrix or its
+    nodes x MQ component table on `quadrature_grid(spec)` is too large.
+
+    The grid's nodes grow as 1/sigma, so the table does too.
+    """
+    check_marginal_budget(spec.m, spec.q)
+    grid = _entropy.quadrature_grid(spec)
+    nodes = grid.panels * grid.nodes_per_panel
+    _check_elements(
+        f"Blahut-Arimoto at P_N={spec.noise_power:g} takes nodes x MQ = {nodes} x "
+        f"{spec.m * spec.q}", nodes * spec.m * spec.q
+    )
 
 
 def _marginal_rows(m: int, q: int) -> tuple[np.ndarray, list[int]]:
@@ -194,29 +213,20 @@ def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
     )
 
 
-def solve_uniform_lp(
-    costs: CostTensor,
-    spec: ChannelSpec | None = None,
-    grid: QuadratureGrid | None = None,
-) -> LpSolution:
+def solve_uniform_lp(costs: CostTensor, spec: ChannelSpec | None = None) -> LpSolution:
     """Uniform transmission: solve_marginal_lp with every marginal = 1/M.
 
     When `spec` is given, the achieved rate h(Y) - objective is reported in
-    bits via `rate_bits`, with h(Y) on `grid` if one is given.
+    bits via `rate_bits`.
     """
     sol = solve_marginal_lp(costs, MarginalSet.uniform(costs.m, costs.q))
     if spec is None:
         return sol
-    h_y = _entropy.output_entropy(MarginalSet.uniform(spec.m, spec.q), spec, grid)
+    h_y = _entropy.output_entropy(MarginalSet.uniform(spec.m, spec.q), spec)
     return replace(sol, rate_bits=(h_y - sol.objective) / LN2)
 
 
-def support_reduce(
-    spec: ChannelSpec,
-    p: JointPmf,
-    costs: CostTensor | None = None,
-    grid: QuadratureGrid | None = None,
-) -> LpSolution:
+def support_reduce(spec: ChannelSpec, p: JointPmf, costs: CostTensor | None = None) -> LpSolution:
     """Shrink the support of p to at most MQ - Q + 1 without losing rate.
 
     Re-solves the marginal LP with targets = marginals of p; the optimum has
@@ -224,7 +234,7 @@ def support_reduce(
     that of p.
     """
     if costs is None:
-        costs = _entropy.cost_tensor(spec, grid)
+        costs = _entropy.cost_tensor(spec)
     return solve_marginal_lp(costs, marginals_of(p))
 
 
@@ -233,7 +243,6 @@ def blahut_arimoto(
     costs: CostTensor | None = None,
     tol: float = 1e-7,
     max_iter: int = 10000,
-    track_lower_bounds: bool = False,
 ) -> CapacityResult:
     """Capacity of the associated channel with outputs on the quadrature nodes, in bits.
 
@@ -243,8 +252,10 @@ def blahut_arimoto(
     D_t = -h_t - sum_j G[i_j, j] with G[i, j] = integral of
     r_j phi(y - x_i - s_j) ln p_Y(y), so an iteration needs only the cost
     tensor `costs` (default: `cost_tensor(spec)`) and an M x Q table of
-    those integrals on the nodes of `quadrature_grid(spec)`.
+    those integrals on the nodes of `quadrature_grid(spec)`. Raises
+    BudgetExceededError before any work if `check_capacity_budget` fails.
     """
+    check_capacity_budget(spec)
     grid = _entropy.quadrature_grid(spec)
     if costs is None:
         costs = _entropy.cost_tensor(spec)
@@ -267,8 +278,7 @@ def blahut_arimoto(
         log_p_y = np.log(np.where(p_y > 0.0, p_y, 1.0))
         div = -h - ((weights * log_p_y) @ g) @ a  # KL(density of t || p_Y), nats
         info = float(np.dot(p, div))
-        if track_lower_bounds:
-            bounds.append(info / LN2)
+        bounds.append(info / LN2)
         gap = float(div.max() - div[p > SUPPORT_THRESHOLD].min())
         if gap < tol:
             converged = True
@@ -280,5 +290,5 @@ def blahut_arimoto(
         capacity_bits=info / LN2,
         converged=converged,
         iterations=iterations,
-        lower_bounds=tuple(bounds) if track_lower_bounds else None,
+        lower_bounds=tuple(bounds),
     )

@@ -5,7 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from causalprecode import ChannelSpec, cli, noise_power_for_snr_db, optimize
+from causalprecode import (
+    BudgetExceededError,
+    ChannelSpec,
+    cli,
+    noise_power_for_snr_db,
+    optimize,
+    sim,
+)
 from causalprecode.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -164,7 +171,8 @@ class TestBadInput:
 
     def test_marginal_matrix_beyond_the_budget_fails_before_any_work(self, tmp_path, capsys):
         # M = 16, Q = 5: 16^5 symbols pass the spec's cap, but the MQ x M^Q
-        # marginal matrix would hold 83.9M elements.
+        # marginal matrix would hold 83.9M elements, and the exact assignment
+        # search takes M <= 8, Q <= 4.
         path = tmp_path / "big.spec"
         path.write_text(
             "constellation = " + " ".join(str(i) for i in range(16)) + "\n"
@@ -175,15 +183,48 @@ class TestBadInput:
         tracemalloc.start()
         try:
             codes = [run([cmd, str(path)] + extra) for cmd, extra in
-                     (("uniform", []), ("capacity", []), ("sweep", ["--snr-db=0:10:5"]))]
+                     (("uniform", []), ("capacity", []), ("sweep", ["--snr-db=0:10:5"]),
+                      ("assign", []))]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert codes == [EXIT_BUDGET] * 3
+        assert codes == [EXIT_BUDGET] * 4
         assert peak < 1 << 20
         assert "beyond the budget" in capsys.readouterr().err
         # the largest benchmark instance, PAM-8/Q=4, stays under the budget
         optimize.check_marginal_budget(8, 4)
+
+    def test_blahut_arimoto_beyond_the_budget_fails_before_any_work(
+        self, binary_spec_file, monkeypatch, capsys
+    ):
+        # Binary at P_N = 1e-12 (120 dB): the default grid has 256,001,312
+        # nodes, so BA's nodes x MQ component table would hold 1.02e9 elements.
+        path = binary_spec_file(noise=1e-12)
+
+        def no_work(*args):
+            raise AssertionError("sweep point computed before the budget check")
+
+        monkeypatch.setattr(cli, "sweep_point", no_work)
+        tracemalloc.start()
+        try:
+            codes = [run(["capacity", path]),
+                     run(["sweep", path, "--snr-db=0:120:60", "--with-ba"])]
+            with pytest.raises(BudgetExceededError, match="beyond the budget"):
+                optimize.blahut_arimoto(ChannelSpec((-1.0, 1.0), (-1.0, 1.0), (0.5, 0.5), 1e-12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codes == [EXIT_BUDGET] * 2
+        assert peak < 1 << 20
+        assert "nodes x MQ" in capsys.readouterr().err
+        # the benchmark's largest BA instance, PAM-8/Q=3 at 15 dB, stays
+        # under the budget, and so does PAM-4/Q=2 at 60 dB
+        pam8 = (-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0)
+        pam4 = (-3.0, -1.0, 1.0, 3.0)
+        optimize.check_capacity_budget(
+            ChannelSpec(pam8, (-2.0, 0.0, 2.0), (1 / 3,) * 3, noise_power_for_snr_db(pam8, 15.0)))
+        optimize.check_capacity_budget(
+            ChannelSpec(pam4, (-1.0, 1.0), (0.5, 0.5), noise_power_for_snr_db(pam4, 60.0)))
 
 
 class TestSweepCommand:
@@ -263,6 +304,52 @@ class TestSweepCommand:
         assert run(["sweep", path, "--snr-db=0:1e12:1e-9"]) == EXIT_BUDGET
         assert run(["sweep", path, "--snr-db=0:10000:1"]) == EXIT_BUDGET
         assert "10000 points" in capsys.readouterr().err
+
+
+class TestWorkers:
+    def test_clamped_to_the_cpus_without_starting_a_thread(
+        self, binary_spec_file, tmp_path, monkeypatch, capsys
+    ):
+        sizes = []
+
+        class RecordingPool:
+            """Records max_workers and maps serially: no thread is started."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordingPool)
+        path = binary_spec_file()
+        code = tmp_path / "code.txt"
+        code.write_text("1 2\n2 1\n")
+        # 40,000 trials make three batches
+        simulate = ["simulate", path, "--code", str(code), "--trials", "40000", "--workers"]
+        assert run(simulate + ["1"]) == EXIT_OK
+        serial = capsys.readouterr().out
+        assert run(simulate + ["100000"]) == EXIT_OK
+        assert capsys.readouterr().out == serial
+        assert run(["sweep", path, "--snr-db=0:2:1", "--workers", "10000"]) == EXIT_OK
+        assert sizes == [3, 3]
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_below_one_is_bad_input(self, binary_spec_file, tmp_path, workers, capsys):
+        path = binary_spec_file()
+        code = tmp_path / "code.txt"
+        code.write_text("1 2\n2 1\n")
+        assert run(["simulate", path, "--code", str(code), "--workers", workers]) == EXIT_BAD_INPUT
+        assert run(["sweep", path, "--snr-db=0:2:1", "--workers", workers]) == EXIT_BAD_INPUT
+        assert "at least 1" in capsys.readouterr().err
 
 
 def _gaussian_mixture(means, weights, var):

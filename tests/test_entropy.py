@@ -178,11 +178,13 @@ class TestCostTensor:
         grid = quadrature_grid(spec)
         nodes = entropy._grid_nodes(grid)[0].size
         assert nodes % 9 != 0
+        ranks = np.arange(spec.num_symbols)
         # every node in one block, then blocks of 9 nodes, the last one partial
         monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", nodes * 27)
-        whole = cost_tensor(spec, grid).values
+        whole = entropy._symbol_entropies(spec, grid, ranks)
         monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", 9 * 27 + 1)
-        assert np.allclose(cost_tensor(spec, grid).values, whole, rtol=0.0, atol=1e-13)
+        assert np.allclose(entropy._symbol_entropies(spec, grid, ranks), whole,
+                           rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("noise_power", [0.05, 0.005])
     def test_memory_does_not_grow_with_symbols_times_nodes(self, noise_power):
@@ -194,7 +196,7 @@ class TestCostTensor:
         table_bytes = entropy._grid_nodes(grid)[0].size * spec.m * spec.q * 8
         tracemalloc.start()
         try:
-            cost_tensor(spec, grid)
+            entropy._symbol_entropies(spec, grid, np.arange(spec.num_symbols))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -204,7 +206,9 @@ class TestCostTensor:
         # [-0.5, 0.5] misses most of every mixture's mass: the truncated
         # integrals fall below the Gaussian floor and must not pass silently.
         with pytest.raises(ValueError, match="Gaussian floor"):
-            cost_tensor(binary_spec(noise_power=0.1), QuadratureGrid(-0.5, 0.5, 4, 8))
+            entropy._symbol_entropies(
+                binary_spec(noise_power=0.1), QuadratureGrid(-0.5, 0.5, 4, 8), np.arange(4)
+            )
 
 
 class TestMutualInformation:
@@ -270,13 +274,19 @@ class TestMutualInformation:
     @pytest.mark.parametrize("m,q", [(3, 3), (32, 2)])
     def test_support_only_rate_matches_the_full_tensor(self, m, q, monkeypatch):
         # Without `costs`, h_t is evaluated for the M support symbols only,
-        # by the same reduction that fills the whole tensor.
+        # by the same path that fills the whole tensor, on both sides of the
+        # input-size rule: the default grid (ratio 0) and the split (inf).
         rng = np.random.default_rng(37 + m)
         spec = random_spec(rng, m, q, 0.05)
-        grid = quadrature_grid(spec)
         a = Assignment(random_code(rng, m, q).symbols, total_cost=0.0)
-        full = assignment_rate(a, spec, grid, cost_tensor(spec, grid))
-        samples = []
+        nodes = entropy._grid_nodes(quadrature_grid(spec))[0].size
+        mixtures, samples = [], []
+        cluster_split = entropy._cluster_split
+        monkeypatch.setattr(
+            entropy,
+            "_cluster_split",
+            lambda means, w, sigma: mixtures.append(len(means)) or cluster_split(means, w, sigma),
+        )
         mixture_matrix = entropy._mixture_matrix
         monkeypatch.setattr(
             entropy,
@@ -284,16 +294,27 @@ class TestMutualInformation:
             lambda g, digits: samples.append(g.shape[0] * len(digits[0]))
             or mixture_matrix(g, digits),
         )
-        assert assignment_rate(a, spec, grid) == pytest.approx(full, abs=1e-12)
-        # each support column once at every node, and no other column
-        assert sum(samples) == m * entropy._grid_nodes(grid)[0].size
+        for ratio in (0.0, math.inf):
+            monkeypatch.setattr(entropy, "_SPLIT_WORK_RATIO", ratio)
+            full = assignment_rate(a, spec, cost_tensor(spec))
+            mixtures.clear()
+            samples.clear()
+            assert assignment_rate(a, spec) == pytest.approx(full, abs=1e-12)
+            # the M support symbols, then h(Y)'s one mixture, and no other symbol
+            assert mixtures == [m, 1]
+            # on the grid, each support column once at every node
+            assert sum(samples) == (m * nodes if ratio == 0.0 else 0)
 
-    def test_support_only_rate_keeps_the_floor_check(self):
+    def test_support_only_rate_keeps_the_floor_check(self, monkeypatch):
+        # Windows that stop at the extreme means miss much of the mass of
+        # the outer components: on both sides of the input-size rule the
+        # truncated integrals fall below the Gaussian floor.
+        monkeypatch.setattr(entropy, "_WINDOW_SIGMAS", 0.0)
         p = JointPmf.from_entries(2, 2, {(1, 2): 0.5, (2, 1): 0.5})
-        with pytest.raises(ValueError, match="Gaussian floor"):
-            mutual_information(
-                p, binary_spec(noise_power=0.1), QuadratureGrid(-0.5, 0.5, 4, 8)
-            )
+        for ratio in (0.0, math.inf):
+            monkeypatch.setattr(entropy, "_SPLIT_WORK_RATIO", ratio)
+            with pytest.raises(ValueError, match="Gaussian floor"):
+                mutual_information(p, binary_spec(noise_power=1.0))
 
     def test_output_normalization(self):
         spec = binary_spec()
@@ -325,6 +346,17 @@ PAM8Q4 = ((-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0), (-3.0, -1.0, 1.0, 3.0), 
 
 def _mixture(means, weights, sigma):
     return lambda y: sum(w * phi(y, mu, sigma * sigma) for mu, w in zip(means, weights))
+
+
+def _pinned(values):
+    """`values` stretched onto [-2, 2], the extreme ones at -2 and +2."""
+    v = np.asarray(values)
+    return tuple(-2.0 + 4.0 * (v - v.min()) / (v.max() - v.min()))
+
+
+def _on_the_default_grid(marg, spec):
+    """h(Y) on the default grid, by the reduction that fills the grid path's tensor."""
+    return differential_entropy(lambda y: output_pdf(marg, y, spec), quadrature_grid(spec))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -364,9 +396,7 @@ class TestClusterSplit:
         got = entropy.output_entropy(marg, spec)
         oracle = riemann_entropy(lambda y: output_pdf(marg, y, spec), *entropy._window(spec))
         assert got == pytest.approx(oracle, abs=1e-9)
-        assert got == pytest.approx(
-            entropy.output_entropy(marg, spec, quadrature_grid(spec)), abs=1e-12
-        )
+        assert got == pytest.approx(_on_the_default_grid(marg, spec), abs=1e-12)
 
     @pytest.mark.parametrize("snr_db", [-5.0, 20.0, 60.0])
     @pytest.mark.parametrize(
@@ -401,16 +431,36 @@ class TestClusterSplit:
                 spec = replace(
                     spec, noise_power=noise_power_for_snr_db(spec.constellation, snr_db)
                 )
-                grid = quadrature_grid(spec)
-                assert np.abs(
-                    cost_tensor(spec).values - cost_tensor(spec, grid).values
-                ).max() <= 1e-12
+                on_grid = entropy._symbol_entropies(
+                    spec, quadrature_grid(spec), np.arange(spec.num_symbols)
+                )
+                assert np.abs(cost_tensor(spec).values.ravel() - on_grid).max() <= 1e-12
                 raw = rng.uniform(size=(q, m)) * (rng.uniform(size=(q, m)) < 0.7)
                 raw[:, 0] += 0.1
                 marg = MarginalSet(raw / raw.sum(axis=1, keepdims=True))
                 assert entropy.output_entropy(marg, spec) == pytest.approx(
-                    entropy.output_entropy(marg, spec, grid), abs=1e-12
+                    _on_the_default_grid(marg, spec), abs=1e-12
                 )
+
+    @pytest.mark.parametrize("m,q,grid_calls", [(16, 3, 1), (32, 2, 0), (8, 4, 0)],
+                             ids=["rand16x3", "rand32x2", "pam8q4"])
+    def test_input_sizes_choose_the_path(self, m, q, grid_calls, monkeypatch):
+        # At P_N = 0.05 random 16/3 has nearly one distinct cluster per
+        # symbol and falls back to the default grid; random 32/2 (few
+        # components per symbol) and PAM-8/Q=4 (36 distinct clusters) split.
+        if m == 8:
+            spec = ChannelSpec(*PAM8Q4, 0.05)
+        else:
+            # like the benchmark ladder: extreme point and level at -2 and +2
+            spec = random_spec(np.random.default_rng(61), m, q, 0.05)
+            spec = replace(spec, constellation=_pinned(spec.constellation),
+                           interference_levels=_pinned(spec.interference_levels))
+        calls = []
+        symbol_entropies = entropy._symbol_entropies
+        monkeypatch.setattr(entropy, "_symbol_entropies",
+                            lambda *args: calls.append(1) or symbol_entropies(*args))
+        cost_tensor(spec)
+        assert len(calls) == grid_calls
 
     def test_density_samples_do_not_grow_with_snr(self, monkeypatch):
         # PAM-8/Q=4: 36 distinct clusters at P_N = 0.05; at 1e-6 every

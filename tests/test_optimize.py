@@ -198,9 +198,9 @@ class TestBlahutArimoto:
 
     def test_lower_bounds_monotone(self):
         spec = binary_spec(noise_power=0.5)
-        result = blahut_arimoto(spec, track_lower_bounds=True)
+        result = blahut_arimoto(spec)
         lbs = result.lower_bounds
-        assert lbs is not None and len(lbs) == result.iterations
+        assert len(lbs) == result.iterations
         assert all(b >= a - 1e-12 for a, b in zip(lbs, lbs[1:]))
 
     def test_nonconvergence_flagged(self):
