@@ -50,7 +50,7 @@ from .optimize import (
     solve_uniform_lp,
     support_reduce,
 )
-from .assign import Assignment, assignment_rate, hungarian, multidim_assignment
+from .assign import Assignment, assignment_rate, multidim_assignment
 from .noisefree import (
     OutputMultiset,
     ZeroErrorCode,
@@ -92,7 +92,6 @@ __all__ = [
     "exhaustive_search",
     "format_spec_text",
     "gaussian_entropy",
-    "hungarian",
     "is_arithmetic_progression",
     "load_spec",
     "marginals_of",

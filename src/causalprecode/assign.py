@@ -1,12 +1,15 @@
 """Integrality-constrained uniform transmission.
 
 Forcing the joint pmf to put weight exactly 1/M on exactly M associated
-symbols turns the uniform-transmission LP into an assignment problem: a
-minimum-cost perfect matching for Q = 2 (Hungarian method), and an exact
-axial multidimensional assignment (branch and bound) for general Q.
-
-Both solvers break cost ties by returning the lexicographically smallest
-tuple sequence, so outputs are stable for regression tests.
+symbols turns the uniform-transmission LP into an axial Q-index assignment
+problem; Q = 2 is its bipartite case. One exact search serves every Q: a
+lower bound that projects the costs onto one later coordinate at a time and
+takes the Hungarian value of each projection (Pierskalla 1968; Balas and
+Saltzman 1991), exact for Q = 2, gives the optimum directly for Q <= 2 and
+prunes a branch and bound otherwise. A lexicographic depth-first pass under
+the same bound then returns the lexicographically smallest tuple sequence
+within 1e-9 (relative) of the optimum, so outputs are stable for
+regression tests.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .model import (
 )
 from .entropy import CostTensor
 
-# Exact-search budget for the multidimensional solver.
+# Exact-search budget for Q != 2.
 _MAX_M = 8
 _MAX_Q = 4
 
@@ -61,13 +64,6 @@ class Assignment:
 
     def code(self) -> PrecoderCode:
         return PrecoderCode(self.tuples)
-
-
-def _as_array(cost) -> np.ndarray:
-    values = cost.values if isinstance(cost, CostTensor) else np.asarray(cost, float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("assignment costs must be finite")
-    return values
 
 
 def _hungarian_value(cost: np.ndarray) -> float:
@@ -117,147 +113,95 @@ def _hungarian_value(cost: np.ndarray) -> float:
     return math.fsum(cost[match[j] - 1][j - 1] for j in range(1, n + 1))
 
 
-def _lexicographic_assignment(values: np.ndarray, best: float, completes) -> Assignment:
-    """The lexicographically smallest assignment whose total is within
-    1e-9 (relative) of the optimum `best`.
+def _without(avail: list[list[int]], combo: tuple[int, ...]) -> list[list[int]]:
+    """The free indices per later coordinate once `combo` takes its own."""
+    return [[i for i in free if i != c] for free, c in zip(avail, combo)]
 
-    Rows are fixed in order, each to the first index combination after which
-    `completes(row, avail, slack)` confirms that rows `row`.. can still be
-    assigned from the per-coordinate free indices `avail` at cost <= slack.
+
+def _bound(values: np.ndarray, row: int, avail: list[list[int]]) -> float:
+    """Lower bound on completing rows `row`.. from the free indices `avail`.
+
+    For each later coordinate k, the costs minimized over the other later
+    coordinates leave a matrix of rows by k-indices whose Hungarian value
+    bounds every completion; the bound is the largest of these (exact for
+    Q <= 2, valid for costs of either sign). For Q = 1 it is the sum of the
+    remaining entries.
     """
-    n = values.shape[0]
-    limit = best + 1e-9 * max(1.0, abs(best))
-    avail = [list(range(n)) for _ in range(values.ndim - 1)]
-    chosen: list[tuple[int, ...]] = []
-    fixed_cost = 0.0
-    for row in range(n):
-        for combo in itertools.product(*avail):
-            inc = float(values[(row, *combo)])
-            sub_avail = [
-                [i for i in avail[pos] if i != combo[pos]] for pos in range(len(avail))
-            ]
-            if completes(row + 1, sub_avail, limit - fixed_cost - inc):
-                chosen.append(combo)
-                fixed_cost += inc
-                avail = sub_avail
-                break
-        else:  # pragma: no cover - would indicate a solver bug
-            raise RuntimeError("no consistent choice found while fixing the assignment")
-    tuples = tuple((row + 1, *(i + 1 for i in combo)) for row, combo in enumerate(chosen))
-    total = math.fsum(float(values[tuple(i - 1 for i in t)]) for t in tuples)
-    return Assignment(tuples=tuples, total_cost=total)
-
-
-def hungarian(cost) -> Assignment:
-    """Minimum-cost perfect matching on K_{M,M}.
-
-    Rows are first coordinates, columns second; ties in total cost resolve
-    to the lexicographically smallest matching.
-    """
-    values = _as_array(cost)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError("hungarian needs a square cost matrix")
-    n = values.shape[0]
-    return _lexicographic_assignment(
-        values,
-        _hungarian_value(values),
-        lambda row, avail, slack: (
-            _hungarian_value(values[np.ix_(range(row, n), avail[0])]) <= slack
-        ),
+    if row == values.shape[0]:
+        return 0.0
+    sub = values[np.ix_(range(row, values.shape[0]), *avail)]
+    if sub.ndim == 1:
+        return math.fsum(sub.tolist())
+    later = range(1, sub.ndim)
+    return max(
+        _hungarian_value(sub.min(axis=tuple(a for a in later if a != k))) for k in later
     )
 
 
-def _row_lower_bound(values: np.ndarray, row: int, avail: list[list[int]]) -> float:
-    """Cheapest completion of `row` ignoring cross-row conflicts."""
-    return float(values[row][np.ix_(*avail)].min()) if avail else float(values[row])
-
-
 def _bnb_search(
-    values: np.ndarray,
-    row: int,
-    avail: list[list[int]],
-    prefix: float,
-    best: float,
-    stop_below: float,
+    values: np.ndarray, row: int, avail: list[list[int]], prefix: float, best: float
 ) -> float:
-    """Depth-first min over completions from `row`; prunes against `best`.
-
-    Returns the best completed total found (or the incoming `best` if the
-    subtree cannot improve it). Bails out early once a total <= `stop_below`
-    is known, which turns the search into a decision procedure.
-    """
-    n = values.shape[0]
-    if row == n:
+    """The least total of a completion from `row` below `best`, else `best`:
+    depth first, children by ascending cost, pruned by `_bound`."""
+    if row == values.shape[0]:
         return prefix
-    children = []
-    for combo in itertools.product(*avail):
-        children.append((float(values[(row, *combo)]), combo))
-    children.sort()
-    for inc, combo in children:
-        node_cost = prefix + inc
-        sub_avail = [
-            [i for i in avail[pos] if i != combo[pos]] for pos in range(len(avail))
-        ]
-        bound = node_cost
-        for later in range(row + 1, n):
-            bound += _row_lower_bound(values, later, sub_avail)
-        if bound >= best:
-            continue
-        best = _bnb_search(values, row + 1, sub_avail, node_cost, best, stop_below)
-        if best <= stop_below:
-            return best
+    for inc, combo in sorted(
+        (float(values[(row, *combo)]), combo) for combo in itertools.product(*avail)
+    ):
+        sub_avail = _without(avail, combo)
+        if prefix + inc + _bound(values, row + 1, sub_avail) < best:
+            best = _bnb_search(values, row + 1, sub_avail, prefix + inc, best)
     return best
 
 
-def _check_search_budget(m: int, q: int) -> None:
-    if m > _MAX_M or q > _MAX_Q:
+def check_budget(m: int, q: int) -> None:
+    """Raise BudgetExceededError if `multidim_assignment` cannot take an M, Q
+    instance: Q = 2 has no budget, any other Q needs M <= 8 and Q <= 4."""
+    if q != 2 and (m > _MAX_M or q > _MAX_Q):
         raise BudgetExceededError(
             f"instance too large for exact solver (M={m}, Q={q}; "
             f"beyond the budget of M<={_MAX_M}, Q<={_MAX_Q})"
         )
 
 
-def check_budget(m: int, q: int) -> None:
-    """Raise BudgetExceededError if `assign` cannot take an M, Q instance.
+def multidim_assignment(costs: CostTensor) -> Assignment:
+    """Exact minimum-cost axial assignment of a (M,)*Q cost tensor, any Q.
 
-    Q = 2 goes to the Hungarian method, which has no budget; any other Q to
-    the exact search, which takes M <= 8 and Q <= 4.
+    The optimum is the root `_bound` for Q <= 2 and a branch and bound
+    otherwise. Then one lexicographic depth-first pass fixes first
+    coordinates 1..M in order, each to the first index combination whose
+    cost plus the bound on the rest stays within 1e-9 (relative) of the
+    optimum, backtracking where the bound was not tight: ties resolve to the
+    lexicographically smallest tuple sequence. Raises BudgetExceededError
+    as `check_budget` does.
     """
-    if q != 2:
-        _check_search_budget(m, q)
-
-
-def multidim_assignment(cost) -> Assignment:
-    """Exact minimum-cost axial assignment for a (M,)*Q cost tensor.
-
-    Branch and bound fixing first coordinates 1..M in order, children by
-    ascending incremental cost, bounding with per-row minima; ties resolve to
-    the lexicographically smallest tuple sequence. Raises BudgetExceededError
-    beyond M = 8 or Q = 4.
-    """
-    values = _as_array(cost)
-    n = values.shape[0]
-    q = values.ndim
-    _check_search_budget(n, q)
-    if q == 1:
-        return Assignment(
-            tuples=tuple((i,) for i in range(1, n + 1)),
-            total_cost=math.fsum(float(v) for v in values),
-        )
+    values = costs.values
+    n, q = values.shape[0], values.ndim
+    check_budget(n, q)
     full = [list(range(n)) for _ in range(q - 1)]
-    # Decision query: a completion with total <= slack exists.
-    return _lexicographic_assignment(
-        values,
-        _bnb_search(values, 0, full, 0.0, math.inf, -math.inf),
-        lambda row, avail, slack: (
-            _bnb_search(values, row, avail, 0.0, slack + 1e-15, slack) <= slack
-        ),
-    )
-
-
-def assign(costs: CostTensor) -> Assignment:
-    """Optimal integral assignment: Hungarian for Q = 2, branch and bound otherwise."""
-    return hungarian(costs.values) if costs.q == 2 else multidim_assignment(costs)
+    best = _bound(values, 0, full) if q <= 2 else _bnb_search(values, 0, full, 0.0, math.inf)
+    limit = best + 1e-9 * max(1.0, abs(best))
+    # Frame per open row: its untried combinations, free indices and fixed cost.
+    stack = [(itertools.product(*full), full, 0.0)]
+    chosen: list[tuple[int, ...]] = []
+    while len(chosen) < n:
+        combos, avail, fixed = stack[-1]
+        row = len(chosen)
+        for combo in combos:
+            inc = float(values[(row, *combo)])
+            sub_avail = _without(avail, combo)
+            if _bound(values, row + 1, sub_avail) <= limit - fixed - inc:
+                chosen.append(combo)
+                stack.append((itertools.product(*sub_avail), sub_avail, fixed + inc))
+                break
+        else:
+            stack.pop()
+            if not chosen:  # pragma: no cover - would indicate a solver bug
+                raise RuntimeError("no assignment within the optimum's tolerance")
+            chosen.pop()
+    tuples = tuple((row + 1, *(i + 1 for i in combo)) for row, combo in enumerate(chosen))
+    total = math.fsum(float(values[tuple(i - 1 for i in t)]) for t in tuples)
+    return Assignment(tuples=tuples, total_cost=total)
 
 
 def assignment_rate(a: Assignment, spec: ChannelSpec, costs: CostTensor | None = None) -> float:

@@ -137,7 +137,7 @@ def sweep_point(
     # share one h(Y) and each rate is h(Y) minus its mean cost.
     h_y = _entropy.output_entropy(MarginalSet.uniform(point.m, point.q), point)
     if ids is None:
-        tuples = _assign.assign(costs).tuples
+        tuples = _assign.multidim_assignment(costs).tuples
         tuple_sets = {assignment_id(tuples): tuples}
     else:
         tuple_sets = {aid: _tuples_of_id(aid) for aid in ids}
@@ -239,7 +239,7 @@ def _cmd_assign(args) -> int:
     spec = load_spec(args.specfile)
     _assign.check_budget(spec.m, spec.q)
     costs = _entropy.cost_tensor(spec)
-    a = _assign.assign(costs)
+    a = _assign.multidim_assignment(costs)
     rate = _assign.assignment_rate(a, spec, costs=costs)
     print(f"assignment ({assignment_id(a.tuples)}), total cost {_fmt(a.total_cost)} nats")
     print(f"rate bits: {_fmt(rate)}")

@@ -110,8 +110,11 @@ def _grid_nodes(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _panels(width):
-    """Panels of at most _PANEL_SIGMAS across windows `width` sigmas wide."""
-    return np.maximum(1, np.ceil(np.divide(width, _PANEL_SIGMAS))).astype(int)
+    """Panels of at most _PANEL_SIGMAS across windows `width` sigmas wide, as
+    whole floats: an int64 count overflows beyond 2^63 panels (binary above
+    about 361 dB), and a node count 32 times sooner, so callers take `int()`
+    (unbounded) where they need an integer."""
+    return np.maximum(1.0, np.ceil(np.divide(width, _PANEL_SIGMAS)))
 
 
 def _window(spec: ChannelSpec) -> tuple[float, float]:
@@ -403,7 +406,8 @@ def _cluster_split(means: np.ndarray, weights: np.ndarray, sigma: float) -> _Clu
     shape = np.full(starts.size, -1)
     shape[spread] = inverse
     offsets, shares = distinct[:, :width], distinct[:, width:]
-    panels = _panels(offsets.max(axis=1) + 2 * _WINDOW_SIGMAS)
+    # At most 20 sigmas a component wide, so the int cast cannot overflow.
+    panels = _panels(offsets.max(axis=1) + 2 * _WINDOW_SIGMAS).astype(int)
     return _ClusterSplit(sigma, row[starts], mass, shape, offsets, shares, panels)
 
 

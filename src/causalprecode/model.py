@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,14 +247,12 @@ class PrecoderCode:
     """An ordered set of M associated symbols with implicit uniform 1/M weights.
 
     Message m is precoded with symbols[m]; construction rejects duplicate
-    symbols unless `check_distinct=False` (useful only for degenerate
-    simulation experiments).
+    symbols.
     """
 
     symbols: tuple[AssociatedSymbol, ...]
-    check_distinct: InitVar[bool] = True
 
-    def __post_init__(self, check_distinct: bool) -> None:
+    def __post_init__(self) -> None:
         syms = tuple(tuple(int(i) for i in t) for t in self.symbols)
         if not syms:
             raise ValueError("precoder needs at least one symbol")
@@ -263,7 +261,7 @@ class PrecoderCode:
             raise ValueError("all precoder symbols must have the same length")
         if any(i < 1 for t in syms for i in t):
             raise ValueError("symbol indices are 1-based and must be >= 1")
-        if check_distinct and len(set(syms)) != len(syms):
+        if len(set(syms)) != len(syms):
             raise ValueError("precoder symbols must be pairwise distinct")
         object.__setattr__(self, "symbols", syms)
 

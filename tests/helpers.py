@@ -124,6 +124,20 @@ def exhaustive_assignment_min(costs: np.ndarray) -> float:
     return best
 
 
+def lexicographic_assignment_oracle(costs: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The lexicographically first of all (M!)^(Q-1) assignments, as 1-based
+    tuple sequences, whose total is within 1e-9 (relative) of the minimum."""
+    n = costs.shape[0]
+    candidates = []
+    for perms in itertools.product(itertools.permutations(range(n)), repeat=costs.ndim - 1):
+        rows = tuple((i, *(perm[i] for perm in perms)) for i in range(n))
+        candidates.append((math.fsum(costs[r] for r in rows), rows))
+    best = min(total for total, _ in candidates)
+    limit = best + 1e-9 * max(1.0, abs(best))
+    first = min(rows for total, rows in candidates if total <= limit)
+    return tuple(tuple(i + 1 for i in r) for r in first)
+
+
 def dense_blahut_arimoto(
     spec: ChannelSpec, step: float, tol: float = 1e-7, max_iter: int = 10000
 ) -> tuple[float, np.ndarray, bool, int]:

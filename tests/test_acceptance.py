@@ -113,7 +113,7 @@ def test_criterion_3_q2_integrality():
         m = int(rng.integers(2, 7))
         costs = cp.CostTensor(rng.normal(size=(m, m)))
         lp = cp.solve_uniform_lp(costs)
-        h = cp.hungarian(costs.values)
+        h = cp.multidim_assignment(costs)
         worst_obj = max(worst_obj, abs(lp.objective - h.total_cost / m))
         near = np.minimum(np.abs(lp.pmf.probs), np.abs(lp.pmf.probs - 1.0 / m))
         worst_vertex = max(worst_vertex, float(near.max()))
@@ -121,7 +121,7 @@ def test_criterion_3_q2_integrality():
     report(
         3,
         ok,
-        f"200 matrices: max |lp - hungarian/M| = {worst_obj:.2e}, "
+        f"200 matrices: max |lp - assignment/M| = {worst_obj:.2e}, "
         f"max 0-or-1/M deviation = {worst_vertex:.2e}",
     )
     assert ok
@@ -218,7 +218,7 @@ def test_criterion_7_oracle_equivalences():
     worst_bnb = 0.0
     for _ in range(10):
         tensor = rng.normal(size=(3, 3, 3))
-        a = cp.multidim_assignment(tensor)
+        a = cp.multidim_assignment(cp.CostTensor(tensor))
         worst_bnb = max(worst_bnb, abs(a.total_cost - exhaustive_assignment_min(tensor)))
     # BA dominates the uniform restriction. Near-degenerate instances (rates
     # of ~1e-3 bits) need more than the default iteration budget to certify

@@ -10,12 +10,16 @@ from causalprecode import (
     CostTensor,
     assignment_rate,
     cost_tensor,
-    hungarian,
     multidim_assignment,
     solve_uniform_lp,
 )
-from causalprecode.assign import assign
-from helpers import binary_spec, exhaustive_assignment_min, random_spec
+from causalprecode.assign import _bound, _hungarian_value
+from helpers import (
+    binary_spec,
+    exhaustive_assignment_min,
+    lexicographic_assignment_oracle,
+    random_spec,
+)
 
 
 class TestAssignmentType:
@@ -31,18 +35,18 @@ class TestAssignmentType:
 class TestHungarian:
     def test_identity_optimal(self):
         cost = np.ones((3, 3)) - np.eye(3)
-        a = hungarian(cost)
+        a = multidim_assignment(CostTensor(cost))
         assert a.tuples == ((1, 1), (2, 2), (3, 3))
         assert a.total_cost == 0.0
 
     def test_antidiagonal(self):
-        a = hungarian(np.asarray([[1.0, 0.0], [0.0, 1.0]]))
+        a = multidim_assignment(CostTensor([[1.0, 0.0], [0.0, 1.0]]))
         assert a.tuples == ((1, 2), (2, 1))
         assert a.total_cost == 0.0
 
     def test_binary_high_snr_tensor(self):
         spec = binary_spec(noise_power=0.01)
-        a = hungarian(cost_tensor(spec).values)
+        a = multidim_assignment(cost_tensor(spec))
         assert set(a.tuples) == {(1, 2), (2, 1)}
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -54,17 +58,19 @@ class TestHungarian:
                 math.fsum(cost[i, p[i]] for i in range(m))
                 for p in itertools.permutations(range(m))
             )
-            assert hungarian(cost).total_cost == pytest.approx(best, abs=1e-9)
+            assert multidim_assignment(CostTensor(cost)).total_cost == pytest.approx(
+                best, abs=1e-9
+            )
 
     def test_lexicographic_ties(self):
-        a = hungarian(np.zeros((4, 4)))
+        a = multidim_assignment(CostTensor(np.zeros((4, 4))))
         assert a.tuples == ((1, 1), (2, 2), (3, 3), (4, 4))
 
     def test_rejects_nonsquare_and_nonfinite(self):
-        with pytest.raises(ValueError, match="square"):
-            hungarian(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="shaped"):
+            multidim_assignment(CostTensor(np.zeros((2, 3))))
         with pytest.raises(ValueError, match="finite"):
-            hungarian(np.asarray([[np.inf, 0.0], [0.0, 1.0]]))
+            multidim_assignment(CostTensor([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 class TestMultidim:
@@ -72,14 +78,13 @@ class TestMultidim:
         rng = np.random.default_rng(61)
         for _ in range(10):
             cost = rng.normal(size=(4, 4))
-            h = hungarian(cost)
-            m = multidim_assignment(cost)
-            assert m.tuples == h.tuples
-            assert m.total_cost == pytest.approx(h.total_cost, abs=1e-12)
+            m = multidim_assignment(CostTensor(cost))
+            assert m.tuples == lexicographic_assignment_oracle(cost)
+            assert m.total_cost == pytest.approx(_hungarian_value(cost), abs=1e-12)
 
     def test_constant_tensor_ties(self):
         c = 0.7
-        a = multidim_assignment(np.full((3, 3, 3), c))
+        a = multidim_assignment(CostTensor(np.full((3, 3, 3), c)))
         assert a.total_cost == pytest.approx(3 * c, abs=1e-12)
         assert a.tuples == ((1, 1, 1), (2, 2, 2), (3, 3, 3))
 
@@ -88,35 +93,71 @@ class TestMultidim:
         for _ in range(10):
             cost = rng.normal(size=(3, 3, 3))
             best = exhaustive_assignment_min(cost)
-            a = multidim_assignment(cost)
+            a = multidim_assignment(CostTensor(cost))
             assert a.total_cost == pytest.approx(best, abs=1e-12)
 
     def test_q1_trivial(self):
-        a = multidim_assignment(np.asarray([3.0, 1.0, 2.0]))
+        a = multidim_assignment(CostTensor([3.0, 1.0, 2.0]))
         assert a.tuples == ((1,), (2,), (3,))
         assert a.total_cost == pytest.approx(6.0)
 
     def test_budget(self):
+        # Q = 2 has no budget; any other Q needs M <= 8 and Q <= 4.
+        a = multidim_assignment(CostTensor(np.zeros((9, 9))))
+        assert a.tuples == tuple((i, i) for i in range(1, 10))
         with pytest.raises(BudgetExceededError, match="too large"):
-            multidim_assignment(np.zeros((9, 9)))
+            multidim_assignment(CostTensor(np.zeros((9,) * 3)))
         with pytest.raises(BudgetExceededError, match="too large"):
-            multidim_assignment(np.zeros((2,) * 5))
+            multidim_assignment(CostTensor(np.zeros((2,) * 5)))
 
     def test_four_dim_small(self):
         rng = np.random.default_rng(71)
         cost = rng.normal(size=(3, 3, 3, 3))
-        a = multidim_assignment(cost)
+        a = multidim_assignment(CostTensor(cost))
         best = exhaustive_assignment_min(cost)
         assert a.total_cost == pytest.approx(best, abs=1e-12)
 
+    # Tie-heavy costs whose totals are exact: integers of both signs, also
+    # scaled by 8 for totals of larger magnitude, and entries of 0 or 1e-9
+    # that are 0 on the reversed diagonal, so that the best total is 0, the
+    # totals of exactly 1e-9 sit on the edge of the tolerance, and the
+    # lexicographically first assignment, the diagonal, is rarely optimal.
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_matches_lexicographic_oracle(self, q):
+        rng = np.random.default_rng(90 + q)
+        for m in {1: (1, 3, 6), 2: (2, 4, 6), 3: (2, 3, 4, 5), 4: (2, 3, 4)}[q]:
+            for scale in (1.0, 8.0, 1e-9):
+                for _ in range(4):
+                    low, high = (0, 2) if scale == 1e-9 else (-2, 3)
+                    cost = scale * rng.integers(low, high, size=(m,) * q).astype(float)
+                    if scale == 1e-9:
+                        cost[(np.arange(m), *(np.arange(m)[::-1],) * (q - 1))] = 0.0
+                    a = multidim_assignment(CostTensor(cost))
+                    want = lexicographic_assignment_oracle(cost)
+                    assert a.tuples == want
+                    assert a.total_cost == math.fsum(
+                        cost[tuple(i - 1 for i in t)] for t in want
+                    )
 
-class TestAssignDispatch:
-    @pytest.mark.parametrize("q", [1, 2, 3])
-    def test_matches_the_solver_for_q(self, q):
-        costs = CostTensor(np.random.default_rng(79).normal(size=(3,) * q))
-        a = assign(costs)
-        want = hungarian(costs.values) if q == 2 else multidim_assignment(costs)
-        assert a.tuples == want.tuples and a.total_cost == want.total_cost
+
+class TestBound:
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_bounds_every_completion(self, q):
+        """On random partial assignments, `_bound` is at most the exhaustive
+        minimum completion, and equal to it at Q <= 2."""
+        rng = np.random.default_rng(100 + q)
+        m = 5 if q < 4 else 4
+        for _ in range(20):
+            cost = rng.normal(size=(m,) * q)
+            row = int(rng.integers(0, m))
+            avail = [sorted(rng.choice(m, size=m - row, replace=False).tolist())
+                     for _ in range(q - 1)]
+            rest = exhaustive_assignment_min(cost[np.ix_(range(row, m), *avail)])
+            bound = _bound(cost, row, avail)
+            if q <= 2:
+                assert bound == rest
+            else:
+                assert bound <= rest
 
 
 class TestRates:
@@ -154,7 +195,7 @@ class TestQ2IntegralityIsFree:
         for _ in range(5):
             costs = CostTensor(rng.normal(size=(m, m)))
             lp = solve_uniform_lp(costs)
-            h = hungarian(costs.values)
+            h = multidim_assignment(costs)
             assert lp.objective * m == pytest.approx(h.total_cost, abs=1e-8)
             # vertex entries are 0 or 1/M
             near = np.minimum(np.abs(lp.pmf.probs), np.abs(lp.pmf.probs - 1.0 / m))

@@ -226,6 +226,14 @@ class TestBadInput:
         optimize.check_capacity_budget(
             ChannelSpec(pam4, (-1.0, 1.0), (0.5, 0.5), noise_power_for_snr_db(pam4, 60.0)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_node_counts_beyond_int64_do_not_wrap(self, binary_spec_file, capsys):
+        # Binary at 400 dB: the default grid has 2.56e22 nodes, beyond 2^63.
+        path = binary_spec_file()
+        assert run(["sweep", path, "--snr-db=0:400:200", "--with-ba"]) == EXIT_BUDGET
+        assert "nodes x MQ = 25600000000000000000000 x 4" in capsys.readouterr().err
+        assert run(["sweep", path, "--snr-db=0:400:200"]) == EXIT_OK
+
 
 class TestSweepCommand:
     def test_csv_deterministic_and_well_formed(self, binary_spec_file, tmp_path, capsys):

@@ -164,9 +164,6 @@ class TestPrecode:
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             PrecoderCode(((1, 2), (1, 2)))
-        # escape hatch for degenerate simulation experiments
-        code = PrecoderCode(((1, 2), (1, 2)), check_distinct=False)
-        assert code.m == 2
 
     def test_code_pmf_marginals(self):
         # every state coordinate is a permutation -> uniform marginals

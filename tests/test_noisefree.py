@@ -158,7 +158,8 @@ class TestVerify:
         assert verify_zero_error(z)
 
     def test_identical_tuples_fail(self):
-        code = PrecoderCode(((1, 2), (1, 2)), check_distinct=False)
+        # distinct symbols whose second states share the output x_2 + s_2 = 3
+        code = PrecoderCode(((1, 2), (2, 2)))
         spec = nf_spec([0.0, 1.0], [0.0, 2.0])
         z = ZeroErrorCode(code=code, multisets=output_multisets(code, spec))
         assert not verify_zero_error(z)

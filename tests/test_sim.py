@@ -69,12 +69,6 @@ class TestErrorRates:
         report = simulate(ZERO_ERROR_CODE, spec, trials=100_000, seed=11)
         assert report.ser < 1e-4
 
-    def test_duplicated_code_cannot_beat_guessing(self):
-        spec = binary_spec(noise_power=0.01)
-        dup = PrecoderCode(((1, 2), (1, 2)), check_distinct=False)
-        report = simulate(dup, spec, trials=50_000, seed=13)
-        assert report.ser >= 0.25
-
     @pytest.mark.parametrize("seed", [17, 18, 19])
     def test_ser_monotone_in_noise(self, seed):
         quiet = simulate(ZERO_ERROR_CODE, binary_spec(0.01), trials=100_000, seed=seed)
