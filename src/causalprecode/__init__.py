@@ -6,7 +6,7 @@ Q-tuples over the constellation ("send x_{i_q} when the interference is
 s_q"). The package computes conditional-entropy cost tensors, solves the
 marginal-constrained and uniform-transmission linear programs, solves the
 integral assignment problems, constructs zero-error codes for the
-noise-free channel, estimates capacity with Blahut-Arimoto, and validates
+noise-free channel, computes certified capacity, and validates
 precoders end to end by Monte Carlo simulation.
 """
 
@@ -45,7 +45,7 @@ from .entropy import (
 from .optimize import (
     CapacityResult,
     LpSolution,
-    blahut_arimoto,
+    capacity,
     solve_marginal_lp,
     solve_uniform_lp,
     support_reduce,
@@ -81,8 +81,8 @@ __all__ = [
     "ZeroErrorCode",
     "assignment_rate",
     "average_power",
-    "blahut_arimoto",
     "build_zero_error_code",
+    "capacity",
     "code_pmf",
     "cost_tensor",
     "decode",

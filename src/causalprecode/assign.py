@@ -171,7 +171,8 @@ def multidim_assignment(costs: CostTensor) -> Assignment:
     otherwise. Then one lexicographic depth-first pass fixes first
     coordinates 1..M in order, each to the first index combination whose
     cost plus the bound on the rest stays within 1e-9 (relative) of the
-    optimum, backtracking where the bound was not tight: ties resolve to the
+    optimum (an exact `math.fsum` of the chosen costs, that cost and the
+    bound), backtracking where the bound was not tight: ties resolve to the
     lexicographically smallest tuple sequence. Raises BudgetExceededError
     as `check_budget` does.
     """
@@ -181,27 +182,30 @@ def multidim_assignment(costs: CostTensor) -> Assignment:
     full = [list(range(n)) for _ in range(q - 1)]
     best = _bound(values, 0, full) if q <= 2 else _bnb_search(values, 0, full, 0.0, math.inf)
     limit = best + 1e-9 * max(1.0, abs(best))
-    # Frame per open row: its untried combinations, free indices and fixed cost.
-    stack = [(itertools.product(*full), full, 0.0)]
+    # Frame per open row: its untried combinations and free indices.
+    stack = [(itertools.product(*full), full)]
     chosen: list[tuple[int, ...]] = []
+    chosen_costs: list[float] = []
     while len(chosen) < n:
-        combos, avail, fixed = stack[-1]
+        combos, avail = stack[-1]
         row = len(chosen)
         for combo in combos:
             inc = float(values[(row, *combo)])
             sub_avail = _without(avail, combo)
-            if _bound(values, row + 1, sub_avail) <= limit - fixed - inc:
+            # fsum: costs that cancel at large magnitude must not round the test away
+            if math.fsum([*chosen_costs, inc, _bound(values, row + 1, sub_avail)]) <= limit:
                 chosen.append(combo)
-                stack.append((itertools.product(*sub_avail), sub_avail, fixed + inc))
+                chosen_costs.append(inc)
+                stack.append((itertools.product(*sub_avail), sub_avail))
                 break
         else:
             stack.pop()
             if not chosen:  # pragma: no cover - would indicate a solver bug
                 raise RuntimeError("no assignment within the optimum's tolerance")
             chosen.pop()
+            chosen_costs.pop()
     tuples = tuple((row + 1, *(i + 1 for i in combo)) for row, combo in enumerate(chosen))
-    total = math.fsum(float(values[tuple(i - 1 for i in t)]) for t in tuples)
-    return Assignment(tuples=tuples, total_cost=total)
+    return Assignment(tuples=tuples, total_cost=math.fsum(chosen_costs))
 
 
 def assignment_rate(a: Assignment, spec: ChannelSpec, costs: CostTensor | None = None) -> float:

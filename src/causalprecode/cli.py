@@ -148,7 +148,7 @@ def sweep_point(
     chosen = max(sorted(rates), key=lambda aid: rates[aid])
     ba = None
     if with_ba:
-        ba = _optimize.blahut_arimoto(point, costs=costs)
+        ba = _optimize.capacity(point, costs=costs)
     return SweepRow(
         snr_db=snr_db,
         rate_per_assignment=rates,
@@ -208,7 +208,7 @@ def _cmd_capacity(args) -> int:
     spec = load_spec(args.specfile)
     _optimize.check_capacity_budget(spec)
     costs = _entropy.cost_tensor(spec)
-    result = _optimize.blahut_arimoto(spec, costs=costs, tol=args.tol, max_iter=args.max_iter)
+    result = _optimize.capacity(spec, costs=costs, tol=args.tol, max_iter=args.max_iter)
     reduced = _optimize.support_reduce(spec, result.pmf, costs=costs)
     reduced_mi = _entropy.mutual_information(reduced.pmf, spec, costs=costs)
     print(f"capacity_bits (discretized channel): {_fmt(result.capacity_bits)}")
@@ -312,7 +312,7 @@ def _cmd_sweep(args) -> int:
         print(text, end="")
     unconverged = [_fmt(row.snr_db) for row in rows if not row.ba_converged]
     if unconverged:
-        print(f"error: Blahut-Arimoto did not converge at SNR {', '.join(unconverged)} dB",
+        print(f"error: capacity did not converge at SNR {', '.join(unconverged)} dB",
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -340,10 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("capacity", help="Blahut-Arimoto capacity + support reduction")
+    p = sub.add_parser("capacity", help="certified capacity (active-set Newton) + support reduction")
     p.add_argument("specfile")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=1e-7,
+                   help="width of the certified interval, nats")
+    p.add_argument("--max-iter", type=int, default=1000)
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("uniform", help="uniform-transmission LP solution and rate")
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", required=True, help="a:b:step inclusive range in dB")
     p.add_argument("--out", help="write the CSV here (default stdout)")
     p.add_argument("--with-ba", action="store_true",
-                   help="also compute BA capacity per point")
+                   help="also compute the capacity per point")
     p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(func=_cmd_sweep)
     return parser

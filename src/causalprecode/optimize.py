@@ -1,4 +1,4 @@
-"""Linear programs over the associated channel and a capacity oracle.
+"""Linear programs over the associated channel, and its capacity.
 
 Two LPs share one engine: minimize sum h_{i_1...i_Q} p_{i_1...i_Q} subject to
 fixed per-state marginals (the general problem), and the same with all
@@ -7,9 +7,11 @@ MQ rows of which MQ - Q + 1 are independent; solving on a basis of that
 size yields optima with support at most MQ - Q + 1. The engine is a
 one-phase revised simplex from a northwest-corner basis.
 
-The capacity oracle is Blahut-Arimoto on the channel whose outputs are the
-nodes of the default quadrature grid; it prices every symbol from the cost
-tensor and an M x Q table of integrals on those nodes.
+Capacity is computed on the channel whose outputs are the nodes of the
+default quadrature grid, by an active-set Newton method started from the
+uniform-LP solution (the optimal input needs at most MQ - Q + 1 symbols).
+It prices every symbol from the cost tensor and an M x Q table of integrals
+on those nodes, and returns a certified interval [I(p), max_t D_t].
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from . import entropy as _entropy
 from .model import (
-    SUPPORT_THRESHOLD,
     BudgetExceededError,
     ChannelSpec,
     JointPmf,
@@ -35,8 +36,8 @@ _PIVOT_TOL = 1e-11
 _RATIO_TIE_TOL = 1e-12
 
 # Largest dense matrix, in float64 elements (128 MiB): the MQ x M^Q
-# marginal constraints of the LPs and Blahut-Arimoto, and Blahut-Arimoto's
-# nodes x MQ component table. Larger instances are refused before any work.
+# marginal constraints of the LPs, and the capacity solver's nodes x MQ
+# component table. Larger instances are refused before any work.
 DENSE_ELEMENTS_MAX = 1 << 24
 
 
@@ -53,13 +54,14 @@ class LpSolution:
 
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
-    """Blahut-Arimoto output for the associated channel on the quadrature nodes."""
+    """Capacity of the associated channel on the quadrature nodes, certified:
+    capacity lies in [capacity_bits, upper_bound_bits]."""
 
     pmf: JointPmf
-    capacity_bits: float
-    converged: bool
+    capacity_bits: float  # I(pmf)
+    upper_bound_bits: float  # max_t D_t at pmf
+    converged: bool  # the interval is narrower than tol nats
     iterations: int
-    lower_bounds: tuple[float, ...]  # I(p) in bits at every iteration
 
 
 class SimplexError(RuntimeError):
@@ -79,8 +81,9 @@ def check_marginal_budget(m: int, q: int) -> None:
 
 
 def check_capacity_budget(spec: ChannelSpec) -> None:
-    """Raise BudgetExceededError if Blahut-Arimoto's marginal matrix or its
-    nodes x MQ component table on `quadrature_grid(spec)` is too large.
+    """Raise BudgetExceededError if `capacity` cannot take the spec: the
+    marginal matrix of its uniform-LP start or its nodes x MQ component
+    table on `quadrature_grid(spec)` is too large.
 
     The grid's nodes grow as 1/sigma, so the table does too.
     """
@@ -88,7 +91,7 @@ def check_capacity_budget(spec: ChannelSpec) -> None:
     grid = _entropy.quadrature_grid(spec)
     nodes = grid.panels * grid.nodes_per_panel
     _check_elements(
-        f"Blahut-Arimoto at P_N={spec.noise_power:g} takes nodes x MQ = {nodes} x "
+        f"capacity at P_N={spec.noise_power:g} takes nodes x MQ = {nodes} x "
         f"{spec.m * spec.q}", nodes * spec.m * spec.q
     )
 
@@ -238,57 +241,272 @@ def support_reduce(spec: ChannelSpec, p: JointPmf, costs: CostTensor | None = No
     return solve_marginal_lp(costs, marginals_of(p))
 
 
-def blahut_arimoto(
+# Means of the component table closer than this many noise sigmas count as
+# one mean, and elimination pivots of the support's distinct-mean image
+# below this fraction of its largest entry count as zero.
+_MEAN_MERGE_SIGMAS = 1e-9
+_IMAGE_RANK_TOL = 1e-9
+# A line search accepts a step once the slope there is within this fraction
+# of the slope at its start, and gives up after _LINE_SEARCH_STEPS trials.
+_SLOPE_FRACTION = 0.1
+_LINE_SEARCH_STEPS = 60
+# Density floor in the line search's logarithms (p_Y is 0 only where a column
+# that alone covers a node leaves, so the slope there is -inf).
+_DENSITY_FLOOR = 1e-300
+
+
+class _AssociatedChannel:
+    """The associated channel with outputs on the nodes of `quadrature_grid(spec)`.
+
+    Column i*Q + j of the component table `g` is r_j phi(y - x_i - s_j) on
+    the nodes, so symbol t has density sum_j g[:, t_j*Q + j], and a pmf has
+    output density g u, u being its per-state marginals (letter-major).
+    """
+
+    def __init__(self, spec: ChannelSpec, costs: CostTensor) -> None:
+        self.m, self.q = spec.m, spec.q
+        nodes, weights = _entropy._grid_nodes(_entropy.quadrature_grid(spec))
+        g = _entropy._components(spec, nodes).reshape(len(nodes), -1)
+        live = g.any(axis=1)  # nodes where every component underflows add nothing
+        self.g, self.weights = (g, weights) if live.all() else (g[live], weights[live])
+        self.costs = costs.values
+        self.h = costs.values.reshape(-1)
+        # Distinct-mean image: row l of `image` gives, per column, the weight
+        # r_j it puts on the l-th distinct mean x_i + s_j.
+        means = np.add.outer(spec.constellation, spec.interference_levels).reshape(-1)
+        order = np.argsort(means, kind="stable")
+        group = np.empty(means.size, dtype=int)
+        group[order] = np.concatenate([[0], np.cumsum(
+            np.diff(means[order]) > _MEAN_MERGE_SIGMAS * _entropy._sigma(spec))])
+        self.image = np.zeros((int(group.max()) + 1, means.size))
+        self.image[group, np.arange(means.size)] = np.tile(spec.interference_probs, self.m)
+
+    def columns(self, ranks: np.ndarray) -> np.ndarray:
+        """Component columns t_j*Q + j of the symbols `ranks`, shape (len, Q)."""
+        digits = np.unravel_index(ranks, (self.m,) * self.q)
+        return np.stack(digits, axis=-1) * self.q + np.arange(self.q)
+
+    def incidence(self, ranks: np.ndarray) -> np.ndarray:
+        """The MQ x len(ranks) 0-1 matrix B mapping symbol weights to marginals."""
+        b = np.zeros((self.m * self.q, len(ranks)))
+        b[self.columns(ranks), np.arange(len(ranks))[:, None]] = 1.0
+        return b
+
+    def prices(self, support: np.ndarray, p_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Output density on the nodes, and every symbol's D_t = KL(f_t || p_Y) in nats.
+
+        D_t = -h_t - sum_j G[t_j, j] with G[i, j] = sum_y w r_j phi(y - x_i - s_j) ln p_Y(y),
+        broadcast over the (M,)*Q cost tensor.
+        """
+        u = np.bincount(self.columns(support).ravel(), weights=np.repeat(p_s, self.q),
+                        minlength=self.m * self.q)
+        p_y = self.g @ u
+        table = ((self.weights * np.log(np.where(p_y > 0.0, p_y, 1.0))) @ self.g).reshape(
+            self.m, self.q)
+        div = np.negative(self.costs)
+        for j in range(self.q):
+            div -= table[:, j].reshape([self.m if a == j else 1 for a in range(self.q)])
+        return p_y, div.reshape(-1)
+
+    def hessian(self, b: np.ndarray, p_y: np.ndarray) -> np.ndarray:
+        """B^T K B with K = g^T diag(w / p_Y) g, as (gB)^T diag(w / p_Y) (gB):
+        the columns of gB are the support's densities, so no nodes x MQ copy
+        of g is made."""
+        dens = self.g @ b
+        scale = np.divide(self.weights, p_y, out=np.zeros_like(p_y), where=p_y > 0.0)
+        return dens.T @ (dens * scale[:, None])
+
+    def line_search(self, p_y: np.ndarray, dy: np.ndarray, linear: float, hi: float) -> float:
+        """A step in [0, hi] near the maximum of the concave I(p + a d).
+
+        `dy` is the output density of the direction d and `linear` = -h.d, so
+        the slope is linear - sum w dy (ln(p_Y + a dy) + 1). Safeguarded
+        Newton on the slope, bracketed by bisection.
+        """
+        w_dy = self.weights * dy
+
+        def slope_and_curvature(a: float) -> tuple[float, float]:
+            y = np.maximum(p_y + a * dy, _DENSITY_FLOOR)
+            return linear - float(w_dy @ (np.log(y) + 1.0)), -float(w_dy @ (dy / y))
+
+        start = slope_and_curvature(0.0)[0]
+        if not start > 0.0:
+            return 0.0
+        lo, up = 0.0, hi
+        a = min(1.0, hi)
+        for _ in range(_LINE_SEARCH_STEPS):
+            slope, curvature = slope_and_curvature(a)
+            if slope >= 0.0:
+                if a >= hi:
+                    return hi
+                lo = a
+            else:
+                up = a
+            if abs(slope) <= _SLOPE_FRACTION * start:
+                return a
+            a = a - slope / curvature if curvature < 0.0 else up
+            if not lo < a < up:
+                a = 0.5 * (lo + up)
+        return lo
+
+
+def _move(support: np.ndarray, p_s: np.ndarray, d: np.ndarray, step: float, hi: float):
+    """p_s + step d on the support; at the ratio-test bound `hi` the columns
+    that reach zero there leave. Returns the new support and its weights."""
+    moved = p_s + step * d
+    if step >= hi:
+        falling = d < 0.0
+        ratio = np.full(len(p_s), np.inf)
+        ratio[falling] = p_s[falling] / -d[falling]
+        moved[ratio <= hi * (1.0 + 1e-12)] = 0.0
+    keep = moved > 0.0
+    return support[keep], moved[keep] / moved[keep].sum()
+
+
+def _ratio_bound(p_s: np.ndarray, d: np.ndarray) -> float:
+    """Largest step keeping p_s + step d >= 0 (inf if d never falls)."""
+    falling = d < -1e-12 * np.abs(d).max(initial=0.0)
+    return float(np.min(p_s[falling] / -d[falling])) if falling.any() else np.inf
+
+
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Columns spanning the null space of `a`, by Gauss-Jordan elimination
+    with partial pivoting; pivots below _IMAGE_RANK_TOL of the largest entry
+    count as zero. (Elimination, not an SVD: the LU solver is already loaded.)"""
+    a = a.astype(float)
+    rows, cols = a.shape
+    tiny = _IMAGE_RANK_TOL * np.abs(a).max(initial=0.0)
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        p = r + int(np.argmax(np.abs(a[r:, c])))
+        if abs(a[p, c]) <= tiny:
+            continue
+        a[[r, p]] = a[[p, r]]
+        a[r] /= a[r, c]
+        others = np.arange(rows) != r
+        a[others] -= np.outer(a[others, c], a[r])
+        pivots.append(c)
+    free = [c for c in range(cols) if c not in pivots]
+    null = np.zeros((cols, len(free)))
+    null[free, np.arange(len(free))] = 1.0
+    null[pivots] = -a[: len(pivots)][:, free]
+    return null
+
+
+def _pivot(support: np.ndarray, p_s: np.ndarray, d_s: np.ndarray, null: np.ndarray):
+    """Move to the boundary along the null space of the support's
+    distinct-mean images, where p_Y is constant and I linear: along the
+    projection of D there (uphill), or any null direction where D is flat."""
+    d = null @ np.linalg.solve(null.T @ null, null.T @ d_s)
+    hi = _ratio_bound(p_s, d)
+    if hi == np.inf:  # D is flat there
+        d = null[:, 0]
+        hi = _ratio_bound(p_s, d)
+    return _move(support, p_s, d, hi, hi)
+
+
+def _enter(channel: _AssociatedChannel, support, p_s, p_y, best: int):
+    """Line search along e_best - p, for a symbol `best` off the support."""
+    f_best = channel.g[:, channel.columns(np.asarray([best]))[0]].sum(axis=1)
+    step = channel.line_search(p_y, f_best - p_y,
+                               float(channel.h[support] @ p_s) - channel.h[best], 1.0)
+    support = np.append(support, best)
+    p_s = np.append(p_s * (1.0 - step), step)
+    return support[p_s > 0.0], p_s[p_s > 0.0]
+
+
+def _newton(channel: _AssociatedChannel, support, p_s, p_y, d_s, b):
+    """Equality-constrained Newton step on the support, line-searched up to
+    its ratio-test bound; falls back to the projected gradient where
+    round-off has eaten the curvature."""
+    k = len(support)
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = channel.hessian(b, p_y)
+    kkt[k, k] = 0.0
+    ascent = d_s - d_s.mean()
+    try:
+        d = np.linalg.solve(kkt, np.append(ascent, 0.0))[:k]
+    except np.linalg.LinAlgError:
+        d = ascent
+    if not (np.all(np.isfinite(d)) and ascent @ d > 0.0):
+        d = ascent
+    hi = _ratio_bound(p_s, d)
+    step = channel.line_search(p_y, channel.g @ (b @ d), -float(channel.h[support] @ d), hi)
+    return _move(support, p_s, d, step, hi)
+
+
+def capacity(
     spec: ChannelSpec,
     costs: CostTensor | None = None,
     tol: float = 1e-7,
-    max_iter: int = 10000,
+    max_iter: int = 1000,
 ) -> CapacityResult:
-    """Capacity of the associated channel with outputs on the quadrature nodes, in bits.
+    """Capacity of the associated channel with outputs on the quadrature nodes.
 
-    Alternating maximization over the input pmf; stops when the per-symbol
-    Kuhn-Tucker divergences agree within `tol` nats (max over all symbols
-    minus min over the support). Each divergence is
-    D_t = -h_t - sum_j G[i_j, j] with G[i, j] = integral of
-    r_j phi(y - x_i - s_j) ln p_Y(y), so an iteration needs only the cost
-    tensor `costs` (default: `cost_tensor(spec)`) and an M x Q table of
-    those integrals on the nodes of `quadrature_grid(spec)`. Raises
-    BudgetExceededError before any work if `check_capacity_budget` fails.
+    Maximizes the concave I(p) = sum_t p_t D_t over input pmfs by an active
+    set method, starting from the uniform-LP solution. Every iteration
+    prices all symbols (D_t as in `_AssociatedChannel.prices`), stops once
+    max_t D_t - min over the support of D_t < `tol` nats, and otherwise
+    takes one step:
+
+    - a pivot, while the support's distinct-mean images are dependent: the
+      output density is constant along their null space, so I is linear
+      there and a ratio test moves to the boundary, so the support never
+      exceeds MQ - Q + 1;
+    - an entering step, when the largest D_t lies off the support and
+      max_t D_t - I(p) is at least I(p) - min over the support of D_t: a
+      line search along e_t - p;
+    - else a Newton step on the support, with curvature -B^T K B, where
+      K = g^T diag(w / p_Y) g is MQ x MQ and B maps the support to its
+      marginals, line-searched up to the ratio-test bound, where the
+      columns that reach zero leave.
+
+    Any p_Y bounds capacity above by max_t D_t, so the result certifies
+    capacity in [capacity_bits, upper_bound_bits]. `costs` defaults to
+    `cost_tensor(spec)`. Raises BudgetExceededError before any work if
+    `check_capacity_budget` fails.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     check_capacity_budget(spec)
-    grid = _entropy.quadrature_grid(spec)
     if costs is None:
         costs = _entropy.cost_tensor(spec)
     if (costs.m, costs.q) != (spec.m, spec.q):
         raise ValueError("cost tensor shape does not match the channel spec")
-    nodes, weights = _entropy._grid_nodes(grid)
-    # Columns state-major, like the rows of `a`: column j*M + i is r_j phi(y - x_i - s_j).
-    g = _entropy._components(spec, nodes).transpose(0, 2, 1).reshape(len(nodes), -1)
-    live = g.any(axis=1)  # nodes where every component underflows add nothing
-    g, weights = g[live], weights[live]
-    a, _ = _marginal_rows(spec.m, spec.q)
-    h = costs.values.reshape(-1)
-    p = np.full(h.size, 1.0 / h.size)
-    bounds: list[float] = []
-    info = 0.0
+    channel = _AssociatedChannel(spec, costs)
+    start = solve_uniform_lp(costs).pmf.probs
+    support = np.flatnonzero(start > 0.0)
+    p_s = start[support] / start[support].sum()
     converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        p_y = g @ (a @ p)
-        log_p_y = np.log(np.where(p_y > 0.0, p_y, 1.0))
-        div = -h - ((weights * log_p_y) @ g) @ a  # KL(density of t || p_Y), nats
-        info = float(np.dot(p, div))
-        bounds.append(info / LN2)
-        gap = float(div.max() - div[p > SUPPORT_THRESHOLD].min())
-        if gap < tol:
+        p_y, div = channel.prices(support, p_s)
+        d_s = div[support]
+        info = float(p_s @ d_s)
+        upper = max(float(div.max()), info)  # I is a mean of D, up to rounding
+        if upper - d_s.min() < tol:
             converged = True
             break
-        scaled = p * np.exp(div - div.max())
-        p = scaled / scaled.sum()
+        if iterations == max_iter:
+            break
+        b = channel.incidence(support)
+        null = _null_space(channel.image @ b)
+        if null.size:
+            support, p_s = _pivot(support, p_s, d_s, null)
+            continue
+        best = int(np.argmax(div))
+        if best not in support and upper - info >= info - d_s.min():
+            support, p_s = _enter(channel, support, p_s, p_y, best)
+        else:
+            support, p_s = _newton(channel, support, p_s, p_y, d_s, b)
+    probs = np.zeros(channel.h.size)
+    probs[support] = p_s
     return CapacityResult(
-        pmf=JointPmf(spec.m, spec.q, p / p.sum()),
+        pmf=JointPmf(spec.m, spec.q, probs),
         capacity_bits=info / LN2,
+        upper_bound_bits=upper / LN2,
         converged=converged,
         iterations=iterations,
-        lower_bounds=tuple(bounds),
     )

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from causalprecode import ChannelSpec, PrecoderCode
+from causalprecode import ChannelSpec, CostTensor, JointPmf, PrecoderCode, cost_tensor
+from causalprecode import entropy as _entropy
 from causalprecode.model import SUPPORT_THRESHOLD
 
 
@@ -146,7 +148,7 @@ def dense_blahut_arimoto(
     The cells have width `step` and cover the means widened by 10 noise
     sigmas; each row is a symbol's Gaussian mixture at the cell centers,
     normalized to sum to 1. Returns (capacity bits, pmf, converged,
-    iterations), with the same stopping rule and update as the package.
+    iterations), with the same stopping rule and update as `blahut_arimoto`.
     """
     sigma = math.sqrt(spec.noise_power)
     x = np.asarray(spec.constellation)
@@ -174,3 +176,65 @@ def dense_blahut_arimoto(
         scaled = p * np.exp(div - div.max())
         p = scaled / scaled.sum()
     return info / math.log(2.0), p / p.sum(), False, max_iter
+
+
+@dataclass(frozen=True, eq=False)
+class BlahutArimotoResult:
+    pmf: JointPmf
+    capacity_bits: float
+    converged: bool
+    iterations: int
+    lower_bounds: tuple[float, ...]  # I(p) in bits at every iteration
+
+
+def blahut_arimoto(
+    spec: ChannelSpec,
+    costs: CostTensor | None = None,
+    tol: float = 1e-7,
+    max_iter: int = 10000,
+) -> BlahutArimotoResult:
+    """Blahut-Arimoto on the associated channel with outputs on the quadrature nodes.
+
+    Alternating maximization over all M^Q symbols; stops when the
+    per-symbol divergences agree within `tol` nats (max over all symbols
+    minus min over the support), the stopping rule of `optimize.capacity`.
+    Each divergence is D_t = -h_t - sum_j G[i_j, j] with
+    G[i, j] = integral of r_j phi(y - x_i - s_j) ln p_Y(y), priced from the
+    cost tensor (default `cost_tensor(spec)`) and an M x Q table of those
+    integrals on the nodes of `quadrature_grid(spec)`, through the dense
+    marginal matrix of `marginal_constraint_matrix`.
+    """
+    grid = _entropy.quadrature_grid(spec)
+    if costs is None:
+        costs = cost_tensor(spec)
+    nodes, weights = _entropy._grid_nodes(grid)
+    # Columns state-major, like the rows of `a`: column j*M + i is r_j phi(y - x_i - s_j).
+    g = _entropy._components(spec, nodes).transpose(0, 2, 1).reshape(len(nodes), -1)
+    live = g.any(axis=1)  # nodes where every component underflows add nothing
+    g, weights = g[live], weights[live]
+    a = marginal_constraint_matrix(spec.m, spec.q)
+    h = costs.values.reshape(-1)
+    p = np.full(h.size, 1.0 / h.size)
+    bounds: list[float] = []
+    info = 0.0
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        p_y = g @ (a @ p)
+        log_p_y = np.log(np.where(p_y > 0.0, p_y, 1.0))
+        div = -h - ((weights * log_p_y) @ g) @ a  # KL(density of t || p_Y), nats
+        info = float(np.dot(p, div))
+        bounds.append(info / math.log(2.0))
+        gap = float(div.max() - div[p > SUPPORT_THRESHOLD].min())
+        if gap < tol:
+            converged = True
+            break
+        scaled = p * np.exp(div - div.max())
+        p = scaled / scaled.sum()
+    return BlahutArimotoResult(
+        pmf=JointPmf(spec.m, spec.q, p / p.sum()),
+        capacity_bits=info / math.log(2.0),
+        converged=converged,
+        iterations=iterations,
+        lower_bounds=tuple(bounds),
+    )

@@ -220,9 +220,7 @@ def test_criterion_7_oracle_equivalences():
         tensor = rng.normal(size=(3, 3, 3))
         a = cp.multidim_assignment(cp.CostTensor(tensor))
         worst_bnb = max(worst_bnb, abs(a.total_cost - exhaustive_assignment_min(tensor)))
-    # BA dominates the uniform restriction. Near-degenerate instances (rates
-    # of ~1e-3 bits) need more than the default iteration budget to certify
-    # the 1e-6 comparison, so the cap is raised here.
+    # capacity dominates the uniform restriction, at the solver's defaults
     worst_margin = math.inf
     for _ in range(50):
         m = int(rng.integers(2, 4))
@@ -230,14 +228,14 @@ def test_criterion_7_oracle_equivalences():
         spec = random_spec(rng, m, q, noise_power=float(rng.uniform(0.1, 1.5)))
         costs = cp.cost_tensor(spec)
         uniform = cp.solve_uniform_lp(costs, spec)
-        ba = cp.blahut_arimoto(spec, max_iter=300000)
-        worst_margin = min(worst_margin, ba.capacity_bits - uniform.rate_bits)
+        result = cp.capacity(spec, costs=costs)
+        worst_margin = min(worst_margin, result.capacity_bits - uniform.rate_bits)
     ok = worst_lp <= 1e-9 and worst_bnb == 0.0 and worst_margin >= -1e-6
     report(
         7,
         ok,
         f"simplex vs vertices err {worst_lp:.2e}, bnb vs exhaustive err "
-        f"{worst_bnb:.2e}, min(BA - uniform) = {worst_margin:.2e} bits",
+        f"{worst_bnb:.2e}, min(capacity - uniform) = {worst_margin:.2e} bits",
     )
     assert worst_lp <= 1e-9
     assert worst_bnb == 0.0

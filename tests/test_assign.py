@@ -140,6 +140,18 @@ class TestMultidim:
                     )
 
 
+    # The tie pass once tested bound <= limit - fixed - inc in floats, which
+    # rounds 1e20 - 1e20 + 1 away and so rejected every choice.
+    @pytest.mark.parametrize("values", [
+        [1e20, -1e20, 1.0],
+        [[1e20, 1e20, 2.0], [0.0, 1.0, -1e20], [1.0, 2.0, 1e20]],
+    ], ids=["q1", "q2"])
+    def test_costs_that_cancel_at_large_magnitude(self, values):
+        cost = np.asarray(values)
+        a = multidim_assignment(CostTensor(cost))
+        assert a.tuples == lexicographic_assignment_oracle(cost)
+        assert a.total_cost == exhaustive_assignment_min(cost)
+
 class TestBound:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_bounds_every_completion(self, q):

@@ -154,6 +154,7 @@ class TestCapacityCommand:
     def test_nonconvergence_exit(self, binary_spec_file, capsys):
         path = binary_spec_file(noise=0.1)
         assert run(["capacity", path, "--max-iter", "1"]) == EXIT_NO_CONVERGENCE
+        assert "iterations: 1  converged: False" in capsys.readouterr().out
 
 
 class TestBadInput:
@@ -198,7 +199,8 @@ class TestBadInput:
         self, binary_spec_file, monkeypatch, capsys
     ):
         # Binary at P_N = 1e-12 (120 dB): the default grid has 256,001,312
-        # nodes, so BA's nodes x MQ component table would hold 1.02e9 elements.
+        # nodes, so the capacity solver's nodes x MQ component table would
+        # hold 1.02e9 elements.
         path = binary_spec_file(noise=1e-12)
 
         def no_work(*args):
@@ -210,14 +212,14 @@ class TestBadInput:
             codes = [run(["capacity", path]),
                      run(["sweep", path, "--snr-db=0:120:60", "--with-ba"])]
             with pytest.raises(BudgetExceededError, match="beyond the budget"):
-                optimize.blahut_arimoto(ChannelSpec((-1.0, 1.0), (-1.0, 1.0), (0.5, 0.5), 1e-12))
+                optimize.capacity(ChannelSpec((-1.0, 1.0), (-1.0, 1.0), (0.5, 0.5), 1e-12))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert codes == [EXIT_BUDGET] * 2
         assert peak < 1 << 20
         assert "nodes x MQ" in capsys.readouterr().err
-        # the benchmark's largest BA instance, PAM-8/Q=3 at 15 dB, stays
+        # the benchmark's largest capacity instance, PAM-8/Q=3 at 15 dB, stays
         # under the budget, and so does PAM-4/Q=2 at 60 dB
         pam8 = (-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0)
         pam4 = (-3.0, -1.0, 1.0, 3.0)
@@ -277,18 +279,18 @@ class TestSweepCommand:
         path = binary_spec_file()
         args = ["sweep", path, "--snr-db=0:10:10", "--with-ba", "--out"]
         assert run(args + [str(tmp_path / "ok.csv")]) == EXIT_OK
-        real = optimize.blahut_arimoto
+        real = optimize.capacity
 
         def unconverged_at_0db(spec, **kwargs):
             result = real(spec, **kwargs)
             return replace(result, converged=False) if spec.noise_power > 0.5 else result
 
-        monkeypatch.setattr(optimize, "blahut_arimoto", unconverged_at_0db)
+        monkeypatch.setattr(optimize, "capacity", unconverged_at_0db)
         capsys.readouterr()
         assert run(args + [str(tmp_path / "bad.csv")]) == EXIT_NO_CONVERGENCE
         assert (tmp_path / "bad.csv").read_bytes() == (tmp_path / "ok.csv").read_bytes()
         err = capsys.readouterr().err
-        assert "did not converge at SNR 0 dB" in err
+        assert "capacity did not converge at SNR 0 dB" in err
 
     def test_bad_range(self, binary_spec_file, capsys):
         path = binary_spec_file()

@@ -5,21 +5,30 @@ import numpy as np
 import pytest
 
 from causalprecode import (
+    BudgetExceededError,
     ChannelSpec,
     CostTensor,
     JointPmf,
     MarginalSet,
-    blahut_arimoto,
+    capacity,
     cost_tensor,
     marginals_of,
     mutual_information,
+    noise_power_for_snr_db,
     solve_marginal_lp,
     solve_uniform_lp,
     support_reduce,
 )
-from causalprecode.optimize import _marginal_rows, _northwest_corner
+from causalprecode.optimize import (
+    _AssociatedChannel,
+    _marginal_rows,
+    _northwest_corner,
+    _null_space,
+    _pivot,
+)
 from helpers import (
     binary_spec,
+    blahut_arimoto,
     dense_blahut_arimoto,
     enumerate_vertex_objectives,
     ipf_feasible_point,
@@ -175,6 +184,8 @@ def _ba_oracle_specs():
 
 
 class TestBlahutArimoto:
+    """The oracle itself, which the capacity solver is checked against."""
+
     def test_clean_binary_awgn_limit(self):
         # single interference level at 0, well-separated inputs, tiny noise
         spec = ChannelSpec((-1.0, 1.0), (0.0,), (1.0,), 0.005)
@@ -255,6 +266,123 @@ class TestBlahutArimoto:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 16e6
+
+
+PAM4 = (-3.0, -1.0, 1.0, 3.0)
+PAM8 = (-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0)
+
+
+def _pam4q4(snr_db):
+    # x_i + s_j repeats across states, so directions that move mass without
+    # changing p_Y exist, and I is linear along them
+    return ChannelSpec(PAM4, PAM4, (0.25,) * 4, noise_power_for_snr_db(PAM4, snr_db))
+
+
+def _equal_mean_specs():
+    return [_pam4q4(snr_db) for snr_db in (0.0, 5.0, 10.0)] + [
+        ChannelSpec(PAM4, (-1.0, 1.0), (0.5, 0.5), noise_power_for_snr_db(PAM4, 5.0)),
+        ChannelSpec(PAM8, (-2.0, 0.0, 2.0), (1 / 3,) * 3, noise_power_for_snr_db(PAM8, 10.0)),
+        binary_spec(0.1),
+    ]
+
+
+def _random_43_specs():
+    rng = np.random.default_rng(1234)
+    return [random_spec(rng, 4, 3, noise_power=0.05) for _ in range(16)]
+
+
+class TestCapacity:
+    TOL_BITS = 1e-7 / math.log(2.0)  # the default tol, in bits
+
+    def _certified(self, result):
+        assert result.converged
+        assert result.capacity_bits <= result.upper_bound_bits
+        assert result.upper_bound_bits < result.capacity_bits + self.TOL_BITS
+
+    @pytest.mark.parametrize("spec", _equal_mean_specs() + _random_43_specs()[:4])
+    def test_certified_interval(self, spec):
+        self._certified(capacity(spec))
+
+    def test_at_least_the_uniform_lp_rate(self):
+        # BA stops below the uniform-LP rate on several of these at its defaults.
+        for spec in _random_43_specs() + [_pam4q4(0.0)]:
+            costs = cost_tensor(spec)
+            result = capacity(spec, costs=costs)
+            self._certified(result)
+            assert result.capacity_bits >= solve_uniform_lp(costs, spec).rate_bits - 1e-9
+
+    def test_matches_the_ba_oracle_where_it_converges(self):
+        agreed = 0
+        for spec in _ba_oracle_specs() + _equal_mean_specs()[:2]:
+            oracle = blahut_arimoto(spec)
+            result = capacity(spec)
+            self._certified(result)
+            if oracle.converged:
+                agreed += 1
+                assert abs(result.capacity_bits - oracle.capacity_bits) < self.TOL_BITS
+            else:  # the oracle's I(p) is a lower bound all the same
+                assert oracle.capacity_bits <= result.upper_bound_bits
+        assert agreed >= 8
+
+    @pytest.mark.parametrize("spec", _equal_mean_specs() + _random_43_specs())
+    def test_support_within_the_theorem_bound(self, spec):
+        result = capacity(spec)
+        assert result.converged
+        assert len(result.pmf.support()) <= spec.m * spec.q - spec.q + 1
+        assert np.count_nonzero(result.pmf.probs) <= spec.m * spec.q - spec.q + 1
+        assert result.pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert mutual_information(result.pmf, spec) == pytest.approx(
+            result.capacity_bits, abs=1e-9)
+
+    def test_null_space_of_images(self):
+        rng = np.random.default_rng(5)
+        for rows, cols in [(3, 5), (6, 4), (7, 9), (1, 3)]:
+            a = rng.integers(0, 2, size=(rows, cols)).astype(float)
+            a[:, -1] = a[:, 0] + a[:, 1]  # at least one dependency
+            null = _null_space(a)
+            assert null.shape == (cols, cols - np.linalg.matrix_rank(a))
+            assert np.abs(a @ null).max() < 1e-12
+            assert np.linalg.matrix_rank(null) == null.shape[1]
+        assert _null_space(np.eye(3)).shape == (3, 0)
+
+    def test_pivot_moves_mass_without_moving_p_y(self):
+        # Binary: (1,1) and (2,2) put the same means on the output as (1,2)
+        # and (2,1), so the four images are dependent and I is linear along
+        # their null direction.
+        spec = binary_spec(noise_power=0.5)
+        channel = _AssociatedChannel(spec, cost_tensor(spec))
+        support, p_s = np.arange(4), np.asarray([0.1, 0.2, 0.3, 0.4])
+        null = _null_space(channel.image @ channel.incidence(support))
+        assert null.shape == (4, 1)
+        p_y, div = channel.prices(support, p_s)
+        support_after, p_after = _pivot(support, p_s, div[support], null)
+        p_y_after, div_after = channel.prices(support_after, p_after)
+        assert len(support_after) == 3
+        assert np.allclose(p_y_after, p_y, rtol=1e-12, atol=0.0)
+        assert p_after @ div_after[support_after] >= p_s @ div[support] - 1e-15
+
+    def test_nonconvergence_flagged(self):
+        result = capacity(binary_spec(), max_iter=1)
+        assert not result.converged
+        assert result.iterations == 1
+        with pytest.raises(ValueError, match="max_iter"):
+            capacity(binary_spec(), max_iter=0)
+
+    def test_budget_checked_before_any_work(self):
+        with pytest.raises(BudgetExceededError, match="nodes x MQ"):
+            capacity(binary_spec(noise_power=1e-12))
+
+    def test_memory_does_not_grow_with_symbols_times_nodes(self):
+        spec = ChannelSpec(PAM8, PAM4, (0.25,) * 4, 0.05)
+        costs = cost_tensor(spec)
+        tracemalloc.start()
+        try:
+            result = capacity(spec, costs=costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
         assert peak < 16e6
 
 

@@ -6,8 +6,9 @@ the constellation change the cost tensor in known ways. I(T;Y) is a
 difference of two such entropies, so a common translation or a joint
 scaling leaves it unchanged, and a reflection of X and S together leaves
 every rate unchanged. Each property recomputes everything from scratch on
-the transformed spec. Shrinking a pmf's support never lowers its rate, and
-at high SNR the Monte Carlo decoder must agree with the noise-free one.
+the transformed spec. Shrinking a pmf's support never lowers its rate,
+relabelling the constellation leaves the capacity unchanged, and at high
+SNR the Monte Carlo decoder must agree with the noise-free one.
 """
 
 import math
@@ -22,6 +23,7 @@ from causalprecode import (
     JointPmf,
     assignment_rate,
     build_zero_error_code,
+    capacity,
     cost_tensor,
     decode,
     decode_noisefree,
@@ -176,6 +178,20 @@ def test_support_reduce_never_lowers_the_rate(spec, data):
     assert mutual_information(reduced, spec, costs=costs) >= (
         mutual_information(p, spec, costs=costs) - TOL
     )
+
+
+@PROPERTY
+@given(specs(), st.randoms(use_true_random=False))
+def test_relabelling_leaves_the_capacity(spec, rnd):
+    # Relabelling permutes the symbols but not the channel; each certified
+    # interval is narrower than tol nats and holds the same capacity.
+    perm = list(range(spec.m))
+    rnd.shuffle(perm)
+    relabelled = transformed(spec, x=[spec.constellation[k] for k in perm])
+    base, moved = capacity(spec), capacity(relabelled)
+    assert base.converged and moved.converged
+    assert math.isclose(moved.capacity_bits, base.capacity_bits,
+                        rel_tol=0.0, abs_tol=1e-7 / math.log(2.0))
 
 
 @settings(max_examples=10, deadline=None)
