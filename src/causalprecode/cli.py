@@ -19,6 +19,7 @@ import itertools
 import math
 import os
 import sys
+from collections.abc import Collection
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -108,25 +109,21 @@ class SweepRow:
     ba_converged: bool
 
 
-def _sweep_assignment_ids(spec: ChannelSpec) -> list[str] | None:
-    """Fixed id set for per-assignment sweep columns, or None for best-only."""
+def _sweep_assignments(spec: ChannelSpec) -> dict[str, tuple[tuple[int, ...], ...]] | None:
+    """Fixed assignments of the per-assignment sweep columns, keyed by id in
+    id order, or None for best-only."""
     if spec.q == 2 and spec.m <= _SWEEP_ALL_PERMUTATIONS_MAX_M:
-        ids = []
-        for perm in itertools.permutations(range(1, spec.m + 1)):
-            ids.append(assignment_id([(i + 1, perm[i]) for i in range(spec.m)]))
-        return sorted(ids)
+        tuples = [tuple((i + 1, perm[i]) for i in range(spec.m))
+                  for perm in itertools.permutations(range(1, spec.m + 1))]
+        return dict(sorted((assignment_id(t), t) for t in tuples))
     return None
-
-
-def _tuples_of_id(aid: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in part.split("-")) for part in aid.split(";"))
 
 
 def sweep_point(
     spec: ChannelSpec,
     snr_db: float,
     with_ba: bool,
-    ids: list[str] | None,
+    assignments: dict[str, tuple[tuple[int, ...], ...]] | None,
 ) -> SweepRow:
     point = replace(
         spec, noise_power=noise_power_for_snr_db(spec.constellation, snr_db)
@@ -136,14 +133,12 @@ def sweep_point(
     # The LP optimum and every assignment have uniform marginals, so they
     # share one h(Y) and each rate is h(Y) minus its mean cost.
     h_y = _entropy.output_entropy(MarginalSet.uniform(point.m, point.q), point)
-    if ids is None:
+    if assignments is None:
         tuples = _assign.multidim_assignment(costs).tuples
-        tuple_sets = {assignment_id(tuples): tuples}
-    else:
-        tuple_sets = {aid: _tuples_of_id(aid) for aid in ids}
+        assignments = {assignment_id(tuples): tuples}
     rates = {
         aid: (h_y - math.fsum(costs.entry(t) for t in tuples) / point.m) / LN2
-        for aid, tuples in tuple_sets.items()
+        for aid, tuples in assignments.items()
     }
     chosen = max(sorted(rates), key=lambda aid: rates[aid])
     ba = None
@@ -159,7 +154,7 @@ def sweep_point(
     )
 
 
-def sweep_csv(rows: list[SweepRow], ids: list[str] | None) -> str:
+def sweep_csv(rows: list[SweepRow], ids: Collection[str] | None) -> str:
     if ids is None:
         rate_cols = ["best_assignment_rate_bits"]
     else:
@@ -296,15 +291,15 @@ def _cmd_sweep(args) -> int:
     if args.with_ba:  # the highest SNR has the most quadrature nodes
         top = noise_power_for_snr_db(spec.constellation, snrs[-1])
         _optimize.check_capacity_budget(replace(spec, noise_power=top))
-    ids = _sweep_assignment_ids(spec)
+    assignments = _sweep_assignments(spec)
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             rows = list(
-                pool.map(lambda s: sweep_point(spec, s, args.with_ba, ids), snrs)
+                pool.map(lambda s: sweep_point(spec, s, args.with_ba, assignments), snrs)
             )
     else:
-        rows = [sweep_point(spec, s, args.with_ba, ids) for s in snrs]
-    text = sweep_csv(rows, ids)
+        rows = [sweep_point(spec, s, args.with_ba, assignments) for s in snrs]
+    text = sweep_csv(rows, assignments)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

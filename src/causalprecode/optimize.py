@@ -5,7 +5,10 @@ fixed per-state marginals (the general problem), and the same with all
 marginals uniform 1/M (uniform transmission). The constraint system has
 MQ rows of which MQ - Q + 1 are independent; solving on a basis of that
 size yields optima with support at most MQ - Q + 1. The engine is a
-one-phase revised simplex from a northwest-corner basis.
+one-phase revised simplex from a northwest-corner basis. A symbol touches
+only Q marginals, so the simplex prices from the cost tensor and an M x Q
+table of duals; marginals are letter-major (i*Q + j for letter i, state
+j) here and in the capacity solver.
 
 Capacity is computed on the channel whose outputs are the nodes of the
 default quadrature grid, by an active-set Newton method started from the
@@ -30,14 +33,14 @@ from .model import (
 )
 from .entropy import LN2, CostTensor
 
-# Reduced-cost / pivot tolerances for the dense simplex.
+# Reduced-cost / pivot tolerances for the simplex.
 _RC_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _RATIO_TIE_TOL = 1e-12
 
-# Largest dense matrix, in float64 elements (128 MiB): the MQ x M^Q
-# marginal constraints of the LPs, and the capacity solver's nodes x MQ
-# component table. Larger instances are refused before any work.
+# Size budget, 2^24 (128 MiB of float64): the LPs' MQ constraints times M^Q
+# columns, and the capacity solver's nodes x MQ component table. Larger
+# instances are refused before any work.
 DENSE_ELEMENTS_MAX = 1 << 24
 
 
@@ -68,46 +71,54 @@ class SimplexError(RuntimeError):
     """Internal simplex failure (should not occur on transportation instances)."""
 
 
-def _check_elements(what: str, elements: int) -> None:
-    if elements > DENSE_ELEMENTS_MAX:
-        raise BudgetExceededError(
-            f"{what} = {elements} elements, beyond the budget of {DENSE_ELEMENTS_MAX}"
-        )
+def _check_size(what: str, size: int) -> None:
+    if size > DENSE_ELEMENTS_MAX:
+        raise BudgetExceededError(f"{what} = {size}, beyond the budget of {DENSE_ELEMENTS_MAX}")
 
 
 def check_marginal_budget(m: int, q: int) -> None:
-    """Raise BudgetExceededError if the MQ x M^Q marginal matrix is too large."""
-    _check_elements(f"marginal constraints for M={m}, Q={q} take MQ x M^Q", m * q * m**q)
+    """Raise BudgetExceededError if the marginal LP is too large: its MQ
+    constraints times M^Q columns exceed DENSE_ELEMENTS_MAX."""
+    _check_size(f"the LP for M={m}, Q={q} has MQ x M^Q = {m * q} constraints x {m**q} columns",
+                m * q * m**q)
 
 
 def check_capacity_budget(spec: ChannelSpec) -> None:
-    """Raise BudgetExceededError if `capacity` cannot take the spec: the
-    marginal matrix of its uniform-LP start or its nodes x MQ component
-    table on `quadrature_grid(spec)` is too large.
+    """Raise BudgetExceededError if `capacity` cannot take the spec: its
+    uniform-LP start is too large (`check_marginal_budget`), or its nodes x
+    MQ component table on `quadrature_grid(spec)` is.
 
     The grid's nodes grow as 1/sigma, so the table does too.
     """
     check_marginal_budget(spec.m, spec.q)
     grid = _entropy.quadrature_grid(spec)
     nodes = grid.panels * grid.nodes_per_panel
-    _check_elements(
-        f"capacity at P_N={spec.noise_power:g} takes nodes x MQ = {nodes} x "
-        f"{spec.m * spec.q}", nodes * spec.m * spec.q
+    _check_size(
+        f"capacity at P_N={spec.noise_power:g} takes a component table of nodes x MQ = "
+        f"{nodes} x {spec.m * spec.q}", nodes * spec.m * spec.q
     )
 
 
-def _marginal_rows(m: int, q: int) -> tuple[np.ndarray, list[int]]:
-    """All MQ marginal-constraint rows over the M^Q lexicographic symbols, and
-    the indices of MQ - Q + 1 independent ones among them.
+def _columns(ranks: np.ndarray, m: int, q: int) -> np.ndarray:
+    """Letter-major marginal entries t_j*Q + j of the symbols `ranks`, shape (len, Q)."""
+    digits = np.unravel_index(ranks, (m,) * q)
+    return np.stack(digits, axis=-1) * q + np.arange(q)
 
-    Row s*M + i selects the symbols with i_s = i. All M rows of state 1 are
-    kept; for every later state the last letter's row is dropped (it is
-    implied by the others, since every state's rows sum to the total mass).
-    """
-    check_marginal_budget(m, q)
-    digits = np.unravel_index(np.arange(m**q), (m,) * q)
-    rows = np.asarray([digits[s] == i for s in range(q) for i in range(m)], dtype=float)
-    return rows, [k for k in range(m * q) if k < m or k % m != m - 1]
+
+def _incidence(ranks: np.ndarray, m: int, q: int) -> np.ndarray:
+    """The MQ x len(ranks) 0-1 matrix mapping symbol weights to marginals."""
+    b = np.zeros((m * q, len(ranks)))
+    b[_columns(ranks, m, q), np.arange(len(ranks))[:, None]] = 1.0
+    return b
+
+
+def _minus_marginal_sums(tensor: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """tensor[t] - sum_j table[t_j, j] for every symbol t, in place on the
+    (M,)*Q `tensor`, state by state; returns it flat."""
+    m, q = table.shape
+    for j in range(q):
+        tensor -= table[:, j].reshape((m,) + (1,) * (q - 1 - j))
+    return tensor.reshape(-1)
 
 
 def _northwest_corner(per_state: np.ndarray) -> list[int]:
@@ -127,42 +138,55 @@ def _northwest_corner(per_state: np.ndarray) -> list[int]:
     return np.ravel_multi_index(np.cumsum(steps, axis=0).T, (m,) * q).tolist()
 
 
-def _iterate_simplex(
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    basis: list[int],
-    bland_after: int,
-) -> tuple[list[int], np.ndarray, int]:
-    """Revised simplex loop; returns (basis, basic values, pivot count).
+def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
+    """Minimize sum h*p over joint pmfs with the given per-state marginals.
 
-    Dantzig pricing until `bland_after` consecutive degenerate pivots have
-    occurred, then Bland's rule (guarantees termination on these highly
-    degenerate transportation polytopes).
+    Returns a basic optimal solution, so the support never exceeds
+    MQ - Q + 1. Reduced costs are h_t - sum_j u[t_j, j] for the duals u.
+    Dantzig pricing until 10MQ consecutive degenerate pivots have occurred,
+    then Bland's rule (guarantees termination on these highly degenerate
+    transportation polytopes).
     """
-    n_rows, n_cols = a.shape
+    m, q = costs.m, costs.q
+    if (targets.q, targets.m) != (q, m):
+        raise ValueError("targets shape does not match the cost tensor")
+    check_marginal_budget(m, q)
+    # All M constraints of state 1, and of every later state all but the
+    # last letter's (implied: every state's marginals sum to the total mass).
+    rows = np.asarray([i * q + j for j in range(q) for i in range(m) if j == 0 or i < m - 1])
+    b = targets.per_state.T.reshape(-1)
+    b_rows = b[rows]
+    c = costs.values.reshape(-1)
+    strides = [m ** (q - 1 - j) for j in range(q)]
+    basis = _northwest_corner(targets.per_state)
+    basis_mat = _incidence(np.asarray(basis), m, q)[rows]
+    n_rows = len(rows)
+    duals = np.zeros(m * q)  # zero on the dropped constraints
+    dual_table = duals.reshape(m, q)
     bland = False
     degenerate_run = 0
     iterations = 0
-    max_iterations = 200 * (n_rows + n_cols) + 1000
+    max_iterations = 200 * (n_rows + c.size) + 1000
     while True:
-        basis_mat = a[:, basis]
-        x_basic = np.linalg.solve(basis_mat, b)
-        duals = np.linalg.solve(basis_mat.T, c[basis])
-        reduced = c - duals @ a
+        x_basic = np.linalg.solve(basis_mat, b_rows)
+        duals[rows] = np.linalg.solve(basis_mat.T, c[basis])
+        reduced = _minus_marginal_sums(costs.values.copy(), dual_table)
         reduced[basis] = 0.0
         if bland:
             candidates = np.nonzero(reduced < -_RC_TOL)[0]
             if candidates.size == 0:
-                return basis, x_basic, iterations
+                break
             entering = int(candidates[0])
         else:
             best = reduced.min()
             if best >= -_RC_TOL:
-                return basis, x_basic, iterations
+                break
             # Lowest index among near-ties, so h_t equal up to rounding enter alike on any BLAS.
             entering = int(np.flatnonzero(reduced <= best + _RATIO_TIE_TOL)[0])
-        direction = np.linalg.solve(basis_mat, a[:, entering])
+        column = np.zeros(m * q)
+        column[[entering // stride % m * q + j for j, stride in enumerate(strides)]] = 1.0
+        column = column[rows]
+        direction = np.linalg.solve(basis_mat, column)
         positive = direction > _PIVOT_TOL
         if not np.any(positive):
             raise SimplexError("unbounded direction on a bounded polytope")
@@ -173,36 +197,20 @@ def _iterate_simplex(
         # Among tied rows leave the smallest variable index (Bland-safe).
         leaving_row = int(min(ties, key=lambda i: basis[i]))
         basis[leaving_row] = entering
+        basis_mat[:, leaving_row] = column
         iterations += 1
         if theta <= _RATIO_TIE_TOL:
             degenerate_run += 1
-            if degenerate_run > bland_after:
+            if degenerate_run > 10 * m * q:
                 bland = True
         else:
             degenerate_run = 0
         if iterations > max_iterations:
             raise SimplexError("simplex failed to terminate")
-
-
-def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
-    """Minimize sum h*p over joint pmfs with the given per-state marginals.
-
-    Returns a basic optimal solution, so the support never exceeds
-    MQ - Q + 1.
-    """
-    m, q = costs.m, costs.q
-    if (targets.q, targets.m) != (q, m):
-        raise ValueError("targets shape does not match the cost tensor")
-    a, keep = _marginal_rows(m, q)
-    b = targets.per_state.reshape(-1)
-    c = costs.values.reshape(-1)
-    basis, x_basic, iterations = _iterate_simplex(
-        a[keep], b[keep], c, _northwest_corner(targets.per_state), bland_after=10 * m * q
-    )
     x = np.zeros(c.size)
     x[basis] = np.maximum(x_basic, 0.0)
     objective = float(np.dot(c, x))
-    residual = np.abs(a @ x - b).max()
+    residual = np.abs(_incidence(np.asarray(basis), m, q) @ x[basis] - b).max()
     if residual > 1e-8:
         raise SimplexError(f"constraint residual {residual:.3e} exceeds 1e-8")
     total = x.sum()
@@ -281,32 +289,18 @@ class _AssociatedChannel:
         self.image = np.zeros((int(group.max()) + 1, means.size))
         self.image[group, np.arange(means.size)] = np.tile(spec.interference_probs, self.m)
 
-    def columns(self, ranks: np.ndarray) -> np.ndarray:
-        """Component columns t_j*Q + j of the symbols `ranks`, shape (len, Q)."""
-        digits = np.unravel_index(ranks, (self.m,) * self.q)
-        return np.stack(digits, axis=-1) * self.q + np.arange(self.q)
-
-    def incidence(self, ranks: np.ndarray) -> np.ndarray:
-        """The MQ x len(ranks) 0-1 matrix B mapping symbol weights to marginals."""
-        b = np.zeros((self.m * self.q, len(ranks)))
-        b[self.columns(ranks), np.arange(len(ranks))[:, None]] = 1.0
-        return b
-
     def prices(self, support: np.ndarray, p_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Output density on the nodes, and every symbol's D_t = KL(f_t || p_Y) in nats.
 
         D_t = -h_t - sum_j G[t_j, j] with G[i, j] = sum_y w r_j phi(y - x_i - s_j) ln p_Y(y),
         broadcast over the (M,)*Q cost tensor.
         """
-        u = np.bincount(self.columns(support).ravel(), weights=np.repeat(p_s, self.q),
-                        minlength=self.m * self.q)
+        u = np.bincount(_columns(support, self.m, self.q).ravel(),
+                        weights=np.repeat(p_s, self.q), minlength=self.m * self.q)
         p_y = self.g @ u
         table = ((self.weights * np.log(np.where(p_y > 0.0, p_y, 1.0))) @ self.g).reshape(
             self.m, self.q)
-        div = np.negative(self.costs)
-        for j in range(self.q):
-            div -= table[:, j].reshape([self.m if a == j else 1 for a in range(self.q)])
-        return p_y, div.reshape(-1)
+        return p_y, _minus_marginal_sums(np.negative(self.costs), table)
 
     def hessian(self, b: np.ndarray, p_y: np.ndarray) -> np.ndarray:
         """B^T K B with K = g^T diag(w / p_Y) g, as (gB)^T diag(w / p_Y) (gB):
@@ -410,7 +404,7 @@ def _pivot(support: np.ndarray, p_s: np.ndarray, d_s: np.ndarray, null: np.ndarr
 
 def _enter(channel: _AssociatedChannel, support, p_s, p_y, best: int):
     """Line search along e_best - p, for a symbol `best` off the support."""
-    f_best = channel.g[:, channel.columns(np.asarray([best]))[0]].sum(axis=1)
+    f_best = channel.g[:, _columns(np.asarray([best]), channel.m, channel.q)[0]].sum(axis=1)
     step = channel.line_search(p_y, f_best - p_y,
                                float(channel.h[support] @ p_s) - channel.h[best], 1.0)
     support = np.append(support, best)
@@ -466,11 +460,14 @@ def capacity(
 
     Any p_Y bounds capacity above by max_t D_t, so the result certifies
     capacity in [capacity_bits, upper_bound_bits]. `costs` defaults to
-    `cost_tensor(spec)`. Raises BudgetExceededError before any work if
-    `check_capacity_budget` fails.
+    `cost_tensor(spec)`. Raises ValueError unless `max_iter` >= 1 and `tol`
+    is finite and positive, and BudgetExceededError if
+    `check_capacity_budget` fails, both before any work.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     check_capacity_budget(spec)
     if costs is None:
         costs = _entropy.cost_tensor(spec)
@@ -491,7 +488,7 @@ def capacity(
             break
         if iterations == max_iter:
             break
-        b = channel.incidence(support)
+        b = _incidence(support, channel.m, channel.q)
         null = _null_space(channel.image @ b)
         if null.size:
             support, p_s = _pivot(support, p_s, d_s, null)

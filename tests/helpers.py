@@ -7,6 +7,7 @@ check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,57 +61,76 @@ def marginal_constraint_matrix(m: int, q: int) -> np.ndarray:
     return np.asarray(rows)
 
 
-def enumerate_vertex_objectives(
-    m: int, q: int, targets: np.ndarray, costs: np.ndarray
-) -> float:
-    """Exhaustive minimum of sum c*p over the vertices of the marginal polytope.
+_VERTEX_CHUNK = 20000
 
-    Enumerates every basis (column subset of size MQ - Q + 1 of the reduced
-    constraint matrix), solves it, and keeps feasible basic solutions. The
-    determinants of these 0-1 systems are integers, so nonsingularity is a
-    clean |det| >= 0.5 test.
+
+@functools.lru_cache(maxsize=None)
+def _vertex_bases(m: int, q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The rows kept of `marginal_constraint_matrix` (every state's but the
+    last letter's after state 1), the reduced matrix, and all its bases, as
+    column subsets of size MQ - Q + 1. They depend on (M, Q) only, so they
+    are enumerated once. The determinants of these 0-1 systems are
+    integers, so nonsingularity is a clean |det| >= 0.5 test.
     """
     full = marginal_constraint_matrix(m, q)
     keep = list(range(m)) + [
         state * m + letter for state in range(1, q) for letter in range(m - 1)
     ]
     a = full[keep]
-    b = targets.reshape(-1)[keep]
     n_rows, n_cols = a.shape
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n_cols), n_rows)),
+        dtype=np.min_scalar_type(n_cols), count=math.comb(n_cols, n_rows) * n_rows,
+    ).reshape(-1, n_rows)
+    bases = []
+    for start in range(0, len(combos), _VERTEX_CHUNK):
+        idx = combos[start : start + _VERTEX_CHUNK]
+        dets = np.linalg.det(a.T[idx].transpose(0, 2, 1))  # (batch, rows, rows)
+        bases.append(idx[np.abs(dets) > 0.5])
+    return keep, a, np.concatenate(bases)
+
+
+def enumerate_vertex_objectives(
+    m: int, q: int, targets: np.ndarray, costs: np.ndarray
+) -> float:
+    """Exhaustive minimum of sum c*p over the vertices of the marginal polytope.
+
+    Solves every basis of the reduced constraint matrix (`_vertex_bases`)
+    and keeps the feasible basic solutions.
+    """
+    keep, a, bases = _vertex_bases(m, q)
+    b = targets.reshape(-1)[keep]
+    n_rows = a.shape[0]
     best = math.inf
-    combos = list(itertools.combinations(range(n_cols), n_rows))
-    chunk = 20000
-    for start in range(0, len(combos), chunk):
-        idx = np.asarray(combos[start : start + chunk])
-        mats = a.T[idx].transpose(0, 2, 1)  # (batch, rows, rows)
-        dets = np.linalg.det(mats)
-        ok = np.abs(dets) > 0.5
-        if not np.any(ok):
-            continue
-        rhs = np.broadcast_to(b, (int(ok.sum()), n_rows))[..., None]
-        sols = np.linalg.solve(mats[ok], rhs)[..., 0]
+    for start in range(0, len(bases), _VERTEX_CHUNK):
+        idx = bases[start : start + _VERTEX_CHUNK]
+        mats = a.T[idx].transpose(0, 2, 1)
+        rhs = np.broadcast_to(b, (len(idx), n_rows))[..., None]
+        sols = np.linalg.solve(mats, rhs)[..., 0]
         feas = np.all(sols >= -1e-10, axis=1)
         if not np.any(feas):
             continue
-        cols = idx[ok][feas]
+        cols = idx[feas]
         vals = np.einsum("ij,ij->i", sols[feas], costs.reshape(-1)[cols])
         best = min(best, float(vals.min()))
     return best
 
 
-def ipf_feasible_point(
-    rng: np.random.Generator, m: int, q: int, targets: np.ndarray, iters: int = 300
+def ipf_feasible_points(
+    rng: np.random.Generator, m: int, q: int, targets: np.ndarray, count: int,
+    iters: int = 300,
 ) -> np.ndarray:
-    """Random joint pmf with (nearly) the target marginals, via IPF scaling."""
-    t = rng.uniform(0.2, 1.0, size=(m,) * q)
+    """`count` random joint pmfs with (nearly) the target marginals, via IPF
+    scaling, one per row."""
+    t = rng.uniform(0.2, 1.0, size=(count,) + (m,) * q)
     for _ in range(iters):
         for axis in range(q):
-            axes = tuple(a for a in range(q) if a != axis)
+            axes = tuple(a + 1 for a in range(q) if a != axis)
             cur = t.sum(axis=axes) if axes else t
-            shape = [1] * q
-            shape[axis] = m
+            shape = [count] + [1] * q
+            shape[axis + 1] = m
             t = t * (targets[axis] / cur).reshape(shape)
-    return t.reshape(-1)
+    return t.reshape(count, -1)
 
 
 def exhaustive_assignment_min(costs: np.ndarray) -> float:

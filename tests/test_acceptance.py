@@ -35,9 +35,10 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_1_fig2_sweep():
     spec = binary_spec()
     snrs = [-5.0 + 0.5 * k for k in range(61)]
-    ids = [ID_LOW, ID_HIGH]
+    assignments = {ID_LOW: ((1, 1), (2, 2)), ID_HIGH: ((1, 2), (2, 1))}
     t0 = time.time()
-    rows = [cli.sweep_point(spec, snr, with_ba=False, ids=ids) for snr in snrs]
+    rows = [cli.sweep_point(spec, snr, with_ba=False, assignments=assignments)
+            for snr in snrs]
     elapsed = time.time() - t0
 
     diffs = [r.rate_per_assignment[ID_HIGH] - r.rate_per_assignment[ID_LOW] for r in rows]

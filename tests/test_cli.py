@@ -156,6 +156,12 @@ class TestCapacityCommand:
         assert run(["capacity", path, "--max-iter", "1"]) == EXIT_NO_CONVERGENCE
         assert "iterations: 1  converged: False" in capsys.readouterr().out
 
+    def test_tolerance_that_can_never_be_met_is_bad_input(self, binary_spec_file, capsys):
+        path = binary_spec_file(noise=0.1)
+        for tol in ("nan", "0", "-1", "inf"):
+            assert run(["capacity", path, f"--tol={tol}"]) == EXIT_BAD_INPUT
+            assert "tol must be finite and positive" in capsys.readouterr().err
+
 
 class TestBadInput:
     def test_malformed_spec_names_key(self, tmp_path, capsys):
@@ -171,9 +177,9 @@ class TestBadInput:
         assert run(["sweep"]) == EXIT_BAD_INPUT  # missing required args
 
     def test_marginal_matrix_beyond_the_budget_fails_before_any_work(self, tmp_path, capsys):
-        # M = 16, Q = 5: 16^5 symbols pass the spec's cap, but the MQ x M^Q
-        # marginal matrix would hold 83.9M elements, and the exact assignment
-        # search takes M <= 8, Q <= 4.
+        # M = 16, Q = 5: 16^5 symbols pass the spec's cap, but the LP's MQ
+        # constraints times M^Q columns make 83.9M, beyond the budget, and the
+        # exact assignment search takes M <= 8, Q <= 4.
         path = tmp_path / "big.spec"
         path.write_text(
             "constellation = " + " ".join(str(i) for i in range(16)) + "\n"
@@ -382,8 +388,8 @@ def test_sweep_rates_match_riemann(spec, snr_db):
     # Every column from plain Riemann sums of densities written out here:
     # assignment a rates h(Y) - (1/M) sum_{t in a} h_t, and for Q = 2 the LP
     # optimum is the best assignment (Birkhoff-von Neumann).
-    ids = cli._sweep_assignment_ids(spec)
-    row = cli.sweep_point(spec, snr_db, False, ids)
+    assignments = cli._sweep_assignments(spec)
+    row = cli.sweep_point(spec, snr_db, False, assignments)
     var = noise_power_for_snr_db(spec.constellation, snr_db)
     x, s, r = spec.constellation, spec.interference_levels, spec.interference_probs
     pad = 12.0 * math.sqrt(var)
@@ -395,14 +401,13 @@ def test_sweep_rates_match_riemann(spec, snr_db):
     )
     h_t = {}
     expected = {}
-    for aid in ids:
-        tuples = cli._tuples_of_id(aid)
+    for aid, tuples in assignments.items():
         for t in tuples:
             if t not in h_t:
                 means = [x[i - 1] + sj for i, sj in zip(t, s)]
                 h_t[t] = riemann_entropy(_gaussian_mixture(means, r, var), lo, hi)
         expected[aid] = (h_y - sum(h_t[t] for t in tuples) / m) / math.log(2.0)
-    assert set(row.rate_per_assignment) == set(ids)
-    for aid in ids:
+    assert set(row.rate_per_assignment) == set(assignments)
+    for aid in assignments:
         assert row.rate_per_assignment[aid] == pytest.approx(expected[aid], abs=1e-7)
     assert row.lp_rate_bits == pytest.approx(max(expected.values()), abs=1e-7)

@@ -16,6 +16,7 @@ from causalprecode import (
     gaussian_entropy,
     marginals_of,
     mixture_pdf,
+    multidim_assignment,
     mutual_information,
     noise_power_for_snr_db,
     output_pdf,
@@ -263,13 +264,19 @@ class TestMutualInformation:
         # entry; assignment_rate goes through mutual_information instead.
         # Binary takes the all-permutations columns, Q = 3 the best-only one.
         for spec in (binary_spec(), random_spec(np.random.default_rng(7), 3, 3, 0.2)):
-            row = cli.sweep_point(spec, 10.0, False, cli._sweep_assignment_ids(spec))
+            assignments = cli._sweep_assignments(spec)
+            row = cli.sweep_point(spec, 10.0, False, assignments)
             point = replace(
                 spec, noise_power=noise_power_for_snr_db(spec.constellation, 10.0)
             )
-            for aid, rate in row.rate_per_assignment.items():
-                a = Assignment(cli._tuples_of_id(aid), total_cost=0.0)
-                assert rate == pytest.approx(assignment_rate(a, point), abs=1e-12)
+            if assignments is None:  # best-only: the optimal assignment's column
+                tuples = multidim_assignment(cost_tensor(point)).tuples
+                assignments = {cli.assignment_id(tuples): tuples}
+            assert set(row.rate_per_assignment) == set(assignments)
+            for aid, tuples in assignments.items():
+                a = Assignment(tuples, total_cost=0.0)
+                assert row.rate_per_assignment[aid] == pytest.approx(
+                    assignment_rate(a, point), abs=1e-12)
 
     @pytest.mark.parametrize("m,q", [(3, 3), (32, 2)])
     def test_support_only_rate_matches_the_full_tensor(self, m, q, monkeypatch):

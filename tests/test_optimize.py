@@ -21,7 +21,7 @@ from causalprecode import (
 )
 from causalprecode.optimize import (
     _AssociatedChannel,
-    _marginal_rows,
+    _incidence,
     _northwest_corner,
     _null_space,
     _pivot,
@@ -31,7 +31,7 @@ from helpers import (
     blahut_arimoto,
     dense_blahut_arimoto,
     enumerate_vertex_objectives,
-    ipf_feasible_point,
+    ipf_feasible_points,
     marginal_constraint_matrix,
     random_spec,
 )
@@ -83,10 +83,8 @@ class TestMarginalLp:
         raw = rng.uniform(0.1, 1.0, size=(2, 3))
         targets = MarginalSet(raw / raw.sum(axis=1, keepdims=True))
         sol = solve_marginal_lp(costs, targets)
-        c = costs.values.reshape(-1)
-        for _ in range(1000):
-            p = ipf_feasible_point(rng, 3, 2, targets.per_state)
-            assert float(c @ p) >= sol.objective - 1e-9
+        points = ipf_feasible_points(rng, 3, 2, targets.per_state, 1000)
+        assert (points @ costs.values.reshape(-1)).min() >= sol.objective - 1e-9
 
     def test_constraints_and_support_bound(self):
         rng = np.random.default_rng(13)
@@ -116,7 +114,8 @@ class TestMarginalLp:
         ]
         for per_state in cases:
             q, m = per_state.shape
-            a, keep = _marginal_rows(m, q)
+            a = marginal_constraint_matrix(m, q)
+            keep = [k for k in range(m * q) if k < m or k % m != m - 1]
             basis = _northwest_corner(per_state)
             assert len(set(basis)) == len(basis) == m * q - q + 1
             mat = a[keep][:, basis]
@@ -125,8 +124,23 @@ class TestMarginalLp:
             assert x.min() >= -1e-12
             p = np.zeros(m**q)
             p[basis] = x
-            residual = marginal_constraint_matrix(m, q) @ p - per_state.reshape(-1)
+            residual = a @ p - per_state.reshape(-1)
             assert np.abs(residual).max() <= 1e-12
+
+    def test_forms_no_marginal_matrix(self):
+        # Random 8/5: 32,768 symbols, so a dense MQ x M^Q marginal matrix
+        # would take 10 MiB; the simplex holds M^Q vectors and 36 x 36 bases.
+        rng = np.random.default_rng(3)
+        costs = random_costs(rng, 8, 5)
+        targets = MarginalSet.uniform(8, 5)
+        tracemalloc.start()
+        try:
+            sol = solve_marginal_lp(costs, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sol.pmf.support()) <= 8 * 5 - 5 + 1
+        assert peak < 4 << 20
 
     def test_degenerate_targets(self):
         # zero-probability letters force structural zeros
@@ -353,7 +367,7 @@ class TestCapacity:
         spec = binary_spec(noise_power=0.5)
         channel = _AssociatedChannel(spec, cost_tensor(spec))
         support, p_s = np.arange(4), np.asarray([0.1, 0.2, 0.3, 0.4])
-        null = _null_space(channel.image @ channel.incidence(support))
+        null = _null_space(channel.image @ _incidence(support, 2, 2))
         assert null.shape == (4, 1)
         p_y, div = channel.prices(support, p_s)
         support_after, p_after = _pivot(support, p_s, div[support], null)
@@ -368,6 +382,9 @@ class TestCapacity:
         assert result.iterations == 1
         with pytest.raises(ValueError, match="max_iter"):
             capacity(binary_spec(), max_iter=0)
+        for tol in (math.nan, 0.0, -1.0, math.inf):  # no tolerance that can never be met
+            with pytest.raises(ValueError, match="tol"):
+                capacity(binary_spec(), tol=tol)
 
     def test_budget_checked_before_any_work(self):
         with pytest.raises(BudgetExceededError, match="nodes x MQ"):
