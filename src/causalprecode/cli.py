@@ -201,6 +201,7 @@ def _parse_snr_range(text: str) -> list[float]:
 
 def _cmd_capacity(args) -> int:
     spec = load_spec(args.specfile)
+    _optimize.check_capacity_options(args.tol, args.max_iter)
     _optimize.check_capacity_budget(spec)
     costs = _entropy.cost_tensor(spec)
     result = _optimize.capacity(spec, costs=costs, tol=args.tol, max_iter=args.max_iter)

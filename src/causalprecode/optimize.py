@@ -52,6 +52,7 @@ class LpSolution:
     objective: float  # minimized sum h*p, nats
     iterations: int
     basis_size: int
+    duals: np.ndarray  # M x Q: reduced cost of t is h_t - sum_j duals[t_j, j]
     rate_bits: float | None = None  # uniform-transmission rate, when computed
 
 
@@ -99,6 +100,14 @@ def check_capacity_budget(spec: ChannelSpec) -> None:
     )
 
 
+def check_capacity_options(tol: float, max_iter: int) -> None:
+    """Raise ValueError unless `max_iter` >= 1 and `tol` is finite and positive."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
+
+
 def _columns(ranks: np.ndarray, m: int, q: int) -> np.ndarray:
     """Letter-major marginal entries t_j*Q + j of the symbols `ranks`, shape (len, Q)."""
     digits = np.unravel_index(ranks, (m,) * q)
@@ -142,7 +151,9 @@ def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
     """Minimize sum h*p over joint pmfs with the given per-state marginals.
 
     Returns a basic optimal solution, so the support never exceeds
-    MQ - Q + 1. Reduced costs are h_t - sum_j u[t_j, j] for the duals u.
+    MQ - Q + 1, with its final M x Q duals u: the reduced costs
+    h_t - sum_j u[t_j, j] are zero on the basis, up to round-off, and
+    >= -1e-10 elsewhere.
     Dantzig pricing until 10MQ consecutive degenerate pivots have occurred,
     then Bland's rule (guarantees termination on these highly degenerate
     transportation polytopes).
@@ -221,6 +232,7 @@ def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
         objective=objective,
         iterations=iterations,
         basis_size=len(basis),
+        duals=dual_table,
     )
 
 
@@ -460,14 +472,11 @@ def capacity(
 
     Any p_Y bounds capacity above by max_t D_t, so the result certifies
     capacity in [capacity_bits, upper_bound_bits]. `costs` defaults to
-    `cost_tensor(spec)`. Raises ValueError unless `max_iter` >= 1 and `tol`
-    is finite and positive, and BudgetExceededError if
-    `check_capacity_budget` fails, both before any work.
+    `cost_tensor(spec)`. Raises ValueError if `check_capacity_options`
+    fails, and BudgetExceededError if `check_capacity_budget` does, both
+    before any work.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be finite and positive")
+    check_capacity_options(tol, max_iter)
     check_capacity_budget(spec)
     if costs is None:
         costs = _entropy.cost_tensor(spec)

@@ -9,6 +9,7 @@ from causalprecode import (
     BudgetExceededError,
     ChannelSpec,
     cli,
+    entropy,
     noise_power_for_snr_db,
     optimize,
     sim,
@@ -127,6 +128,25 @@ class TestAssignCommand:
         assert all(len(l.split()) == 3 for l in code_lines)
 
 
+    def test_q2_beyond_the_budget_fails_before_the_cost_tensor(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "m129.spec"
+        path.write_text(
+            "constellation = " + " ".join(str(i) for i in range(129)) + "\n"
+            "interference_levels = 0 0.5\n"
+            "interference_probs = 0.5 0.5\n"
+            "noise_power = 0.1\n"
+        )
+        monkeypatch.setattr(entropy, "cost_tensor", no_cost_tensor)
+        assert run(["assign", str(path)]) == EXIT_BUDGET
+        assert "M<=128" in capsys.readouterr().err
+
+
+def no_cost_tensor(*args, **kwargs):
+    raise AssertionError("cost tensor built before the checks")
+
+
 class TestSimulateCommand:
     def test_assign_then_simulate(self, binary_spec_file, tmp_path, capsys):
         path = binary_spec_file(noise=0.01)
@@ -163,6 +183,18 @@ class TestCapacityCommand:
             assert "tol must be finite and positive" in capsys.readouterr().err
 
 
+    def test_bad_options_fail_before_the_cost_tensor(
+        self, binary_spec_file, monkeypatch, capsys
+    ):
+        path = binary_spec_file(noise=0.1)
+        monkeypatch.setattr(entropy, "cost_tensor", no_cost_tensor)
+        assert run(["capacity", path, "--tol=nan"]) == EXIT_BAD_INPUT
+        assert run(["capacity", path, "--max-iter", "0"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "tol must be finite and positive" in err
+        assert "max_iter must be at least 1" in err
+
+
 class TestBadInput:
     def test_malformed_spec_names_key(self, tmp_path, capsys):
         path = tmp_path / "bad.spec"
@@ -178,8 +210,8 @@ class TestBadInput:
 
     def test_marginal_matrix_beyond_the_budget_fails_before_any_work(self, tmp_path, capsys):
         # M = 16, Q = 5: 16^5 symbols pass the spec's cap, but the LP's MQ
-        # constraints times M^Q columns make 83.9M, beyond the budget, and the
-        # exact assignment search takes M <= 8, Q <= 4.
+        # constraints times M^Q columns make 83.9M, beyond the budget, which
+        # `assign` takes for Q != 2.
         path = tmp_path / "big.spec"
         path.write_text(
             "constellation = " + " ".join(str(i) for i in range(16)) + "\n"

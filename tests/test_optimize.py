@@ -104,6 +104,26 @@ class TestMarginalLp:
             assert len(sol.pmf.support()) <= m * q - q + 1
             assert sol.basis_size == m * q - q + 1
 
+    def test_duals_price_every_symbol(self):
+        """Reduced costs h_t - sum_j u[t_j, j] are >= -1e-10 (the pricing
+        tolerance), 0 on the support, and the duals priced at the targets
+        give the objective."""
+        rng = np.random.default_rng(17)
+        for m, q in ((3, 1), (3, 2), (4, 3), (3, 4)):
+            costs = random_costs(rng, m, q)
+            raw = rng.uniform(0.1, 1.0, size=(q, m))
+            targets = MarginalSet(raw / raw.sum(axis=1, keepdims=True))
+            sol = solve_marginal_lp(costs, targets)
+            assert sol.duals.shape == (m, q)
+            rc = costs.values.copy()
+            for j in range(q):
+                rc -= sol.duals[:, j].reshape((m,) + (1,) * (q - 1 - j))
+            rc = rc.reshape(-1)
+            assert rc.min() >= -1e-10 - 1e-12
+            assert np.abs(rc[sol.pmf.probs > 0.0]).max() <= 1e-12
+            priced = float(np.sum(sol.duals * targets.per_state.T))
+            assert sol.objective == pytest.approx(priced, abs=1e-12)
+
     def test_northwest_corner_is_a_feasible_basis(self):
         rng = np.random.default_rng(43)
         cases = [rng.dirichlet(np.ones(m), size=q) for m, q in [(4, 1), (2, 4), (3, 3), (5, 2)]]
