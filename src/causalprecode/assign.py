@@ -353,9 +353,10 @@ def multidim_assignment(costs: CostTensor) -> Assignment:
     return Assignment(tuples=tuples, total_cost=math.fsum(chosen_costs))
 
 
-def assignment_rate(a: Assignment, spec: ChannelSpec, costs: CostTensor | None = None) -> float:
+def assignment_rate(a: Assignment, spec: ChannelSpec, costs: CostTensor) -> float:
     """Mutual information (bits) of the pmf placing 1/M on each tuple of `a`.
 
-    Rates `a.tuples`, not `a.total_cost`; h_t comes from `costs` when given.
+    Rates `a.tuples`, not `a.total_cost`, with h_t read from `costs`, the
+    cost tensor of `spec`; `mutual_information` checks that they match.
     """
-    return _entropy.mutual_information(code_pmf(a.code(), spec.m), spec, costs=costs)
+    return _entropy.mutual_information(code_pmf(a.code(), spec.m), spec, costs)

@@ -205,7 +205,7 @@ def _cmd_capacity(args) -> int:
     _optimize.check_capacity_budget(spec)
     costs = _entropy.cost_tensor(spec)
     result = _optimize.capacity(spec, costs=costs, tol=args.tol, max_iter=args.max_iter)
-    reduced = _optimize.support_reduce(spec, result.pmf, costs=costs)
+    reduced = _optimize.support_reduce(result.pmf, costs)
     reduced_mi = _entropy.mutual_information(reduced.pmf, spec, costs=costs)
     print(f"capacity_bits (discretized channel): {_fmt(result.capacity_bits)}")
     print(f"iterations: {result.iterations}  converged: {result.converged}")
@@ -221,9 +221,10 @@ def _cmd_uniform(args) -> int:
     spec = load_spec(args.specfile)
     _optimize.check_marginal_budget(spec.m, spec.q)
     costs = _entropy.cost_tensor(spec)
-    sol = _optimize.solve_uniform_lp(costs, spec)
+    sol = _optimize.solve_uniform_lp(costs)
+    h_y = _entropy.output_entropy(MarginalSet.uniform(spec.m, spec.q), spec)
     print(f"objective (sum h*p, nats): {_fmt(sol.objective)}")
-    print(f"uniform-transmission rate bits: {_fmt(float(sol.rate_bits))}")
+    print(f"uniform-transmission rate bits: {_fmt((h_y - sol.objective) / LN2)}")
     support = sol.pmf.support()
     print(f"support ({len(support)} symbols, bound {spec.m * spec.q - spec.q + 1}):")
     for t in support:

@@ -4,13 +4,15 @@ Given an associated symbol t = (i_1, ..., i_Q), the channel output density is
 the Gaussian mixture sum_j r_j phi(y - x_{i_j} - s_j; P_N). This module
 evaluates that likelihood, the output density induced by per-state marginals,
 the tensor of conditional differential entropies h_{i_1...i_Q}, and
-I(T;Y) = h(Y) - sum_t p(t) h_t.
+I(T;Y) = h(Y) - sum_t p(t) h_t. `cost_tensor` is the only function that
+evaluates h_t, always for every symbol; `mutual_information` and the
+solvers take its tensor.
 
 Mixture entropies go through one kernel, `_mixture_entropies`: each
 mixture is split where neighbouring means lie more than 20 sigma apart, and
 h = sum_c W_c h_c + H(W) over its clusters. A cluster's h_c is closed form
 for a single Gaussian, and otherwise an integral computed once per distinct
-cluster shape, so the cost does not grow with SNR. Symbol sets whose
+cluster shape, so the cost does not grow with SNR. Cost tensors whose
 distinct clusters would cost more than the default grid (`quadrature_grid`)
 fall back to it: there every density is a sum over one component table
 r_j phi(y - x_i - s_j), and every entropy one weighted reduction of density
@@ -266,8 +268,8 @@ def _check_floor(values: np.ndarray, sigma: float) -> None:
         )
 
 
-def _symbol_entropies(spec: ChannelSpec, grid: QuadratureGrid, ranks: np.ndarray) -> np.ndarray:
-    """h_t in nats for the symbols with the given flat ranks, in `ranks` order.
+def _symbol_entropies(spec: ChannelSpec, grid: QuadratureGrid) -> np.ndarray:
+    """h_t in nats for every symbol, in flat-rank order.
 
     One component table serves all symbols; the grid is walked in blocks of
     nodes with at most _BLOCK_ELEMENTS samples, and each block's partial
@@ -275,8 +277,8 @@ def _symbol_entropies(spec: ChannelSpec, grid: QuadratureGrid, ranks: np.ndarray
     """
     nodes, weights = _grid_nodes(grid)
     g = _components(spec, nodes)
-    digits = np.unravel_index(ranks, (spec.m,) * spec.q)
-    rows = max(1, _BLOCK_ELEMENTS // len(ranks))
+    digits = np.unravel_index(np.arange(spec.num_symbols), (spec.m,) * spec.q)
+    rows = max(1, _BLOCK_ELEMENTS // spec.num_symbols)
     values = sum(
         _entropy_from_samples(_mixture_matrix(g[lo:lo + rows], digits), weights[lo:lo + rows])
         for lo in range(0, len(nodes), rows)
@@ -425,8 +427,8 @@ def _mixture_entropies(means: np.ndarray, weights: np.ndarray, sigma: float) -> 
     return _cluster_split(means, weights, sigma).entropies()
 
 
-def _default_entropies(spec: ChannelSpec, ranks: np.ndarray) -> np.ndarray:
-    """h_t in nats for the symbols with the given flat ranks.
+def cost_tensor(spec: ChannelSpec) -> CostTensor:
+    """Differential entropy of the output for every associated symbol.
 
     The cluster split runs unless its distinct clusters take more than
     _SPLIT_WORK_RATIO times the samples x components of `_symbol_entropies`
@@ -435,20 +437,17 @@ def _default_entropies(spec: ChannelSpec, ranks: np.ndarray) -> np.ndarray:
     constellations at low SNR, with nearly one cluster per symbol, do not.
     """
     sigma = _sigma(spec)
-    letters = np.stack(np.unravel_index(ranks, (spec.m,) * spec.q), axis=-1)
+    shape = (spec.m,) * spec.q
+    letters = np.stack(np.unravel_index(np.arange(spec.num_symbols), shape), axis=-1)
     means = np.asarray(spec.constellation)[letters] + np.asarray(spec.interference_levels)
     split = _cluster_split(means, np.broadcast_to(spec.interference_probs, means.shape), sigma)
     lo, hi = _window(spec)
     nodes = _NODES_PER_PANEL * _panels((hi - lo) / sigma)
-    if split.work > _SPLIT_WORK_RATIO * nodes * (len(ranks) + spec.m * spec.q):
-        return _symbol_entropies(spec, quadrature_grid(spec), ranks)
-    return split.entropies()
-
-
-def cost_tensor(spec: ChannelSpec) -> CostTensor:
-    """Differential entropy of the output for every associated symbol."""
-    values = _default_entropies(spec, np.arange(spec.num_symbols))
-    return CostTensor(values.reshape((spec.m,) * spec.q))
+    if split.work > _SPLIT_WORK_RATIO * nodes * (spec.num_symbols + spec.m * spec.q):
+        values = _symbol_entropies(spec, quadrature_grid(spec))
+    else:
+        values = split.entropies()
+    return CostTensor(values.reshape(shape))
 
 
 def output_entropy(marginals: MarginalSet, spec: ChannelSpec) -> float:
@@ -464,18 +463,17 @@ def output_entropy(marginals: MarginalSet, spec: ChannelSpec) -> float:
     return float(_mixture_entropies(means, weights, _sigma(spec))[0])
 
 
-def mutual_information(p: JointPmf, spec: ChannelSpec, costs: CostTensor | None = None) -> float:
+def mutual_information(p: JointPmf, spec: ChannelSpec, costs: CostTensor) -> float:
     """I(T;Y) = h(Y) - sum_t p(t) h_t in bits, for input distribution p.
 
-    h(Y) is computed from the per-state marginals of p. h_t is read from
-    `costs` when given, else evaluated for the support of p only.
+    h(Y) is computed from the per-state marginals of p, and h_t is read from
+    `costs`, the cost tensor of `spec`. Raises ValueError if p or costs does
+    not have the spec's M and Q.
     """
     if p.m != spec.m or p.q != spec.q:
         raise ValueError("pmf shape does not match the channel spec")
-    if costs is None:
-        support = np.flatnonzero(p.probs)
-        h_cond = np.dot(p.probs[support], _default_entropies(spec, support))
-    else:
-        h_cond = np.dot(p.probs, costs.values.reshape(-1))
+    if (costs.m, costs.q) != (spec.m, spec.q):
+        raise ValueError("cost tensor shape does not match the channel spec")
+    h_cond = np.dot(p.probs, costs.values.reshape(-1))
     h_y = output_entropy(marginals_of(p), spec)
     return (h_y - float(h_cond)) / LN2

@@ -124,13 +124,13 @@ def decode_noisefree(zcode: ZeroErrorCode, y: float) -> int | None:
 def build_zero_error_code(spec: ChannelSpec) -> ZeroErrorCode:
     """Zero-error code for an arithmetic-progression constellation.
 
-    Induction over interference levels, lowest first. At each new level the
-    new outputs x_i + s_new are matched against everything already placed:
-    outputs already present join the multiset that contains them (each lands
-    in a distinct one), and the genuinely new outputs fill the remaining
-    multisets in ascending order. The result uses every constellation point
-    exactly once per level, so a uniform distribution on the code induces
-    uniform per-state marginals.
+    Induction over interference levels, lowest first, with one map from each
+    output placed so far to the message that owns it. At each level an
+    output x_i + s already placed stays with its owner, and the fresh
+    outputs go, in ascending order, to the messages no output of this level
+    claimed. Raises RuntimeError if one level claims a message twice. The
+    result uses every constellation point exactly once per level, so a
+    uniform distribution on the code induces uniform per-state marginals.
     """
     order = sorted(range(spec.m), key=lambda i: spec.constellation[i])
     xs = [snap(spec.constellation[i]) for i in order]  # ascending
@@ -138,47 +138,20 @@ def build_zero_error_code(spec: ChannelSpec) -> ZeroErrorCode:
         raise ValueError(
             "constellation is not an arithmetic progression; use exhaustive_search"
         )
-    ss = [snap(v) for v in spec.interference_levels]  # ascending by construction
-    m = spec.m
-    multisets: list[list[Fraction]] = [[xs[i] + ss[0]] for i in range(m)]
-    tuples: list[list[int]] = [[i] for i in range(m)]  # sorted-constellation indices
-    for level in range(1, spec.q):
-        new_vals = [x + ss[level] for x in xs]  # ascending
-        placed = {v for ms in multisets for v in ms}
-        overlap = [i for i, v in enumerate(new_vals) if v in placed]
-        owners: list[int] = []
-        if overlap:
-            k = max(overlap)
-            # The overlapping new outputs always form the prefix up to k and
-            # sit in k+1 distinct multisets; both facts follow from the
-            # progression structure.
-            if overlap != list(range(k + 1)):
-                raise RuntimeError("overlap is not a prefix")
-            for i in range(k + 1):
-                owner = next(
-                    mi for mi, ms in enumerate(multisets) if new_vals[i] in ms
-                )
-                owners.append(owner)
-                multisets[owner].append(new_vals[i])
-                tuples[owner].append(i)
-            if len(set(owners)) != len(owners):
-                raise RuntimeError("overlap owners collide")
-            fresh = list(range(k + 1, m))
-        else:
-            fresh = list(range(m))
-        unfilled = [mi for mi in range(m) if mi not in owners]
-        for i, mi in zip(fresh, sorted(unfilled)):
-            multisets[mi].append(new_vals[i])
-            tuples[mi].append(i)
-    code = PrecoderCode(
-        tuple(tuple(order[i] + 1 for i in t) for t in tuples)
-    )
-    zcode = ZeroErrorCode(
-        code=code,
-        multisets=tuple(
-            OutputMultiset(tuple(float(v) for v in ms)) for ms in multisets
-        ),
-    )
+    owner: dict[Fraction, int] = {}
+    tuples: list[list[int]] = [[] for _ in range(spec.m)]  # sorted-constellation indices
+    for s in map(snap, spec.interference_levels):  # ascending by construction
+        outputs = [x + s for x in xs]  # ascending
+        claimed = [owner[v] for v in outputs if v in owner]
+        if len(set(claimed)) != len(claimed):
+            raise RuntimeError("a message is claimed twice in one level")
+        free = iter(sorted(set(range(spec.m)) - set(claimed)))
+        for i, v in enumerate(outputs):
+            if v not in owner:
+                owner[v] = next(free)
+            tuples[owner[v]].append(i)
+    code = PrecoderCode(tuple(tuple(order[i] + 1 for i in t) for t in tuples))
+    zcode = ZeroErrorCode(code=code, multisets=output_multisets(code, spec))
     if not verify_zero_error(zcode):
         raise RuntimeError("constructed multisets are not disjoint")
     return zcode

@@ -15,11 +15,14 @@ default quadrature grid, by an active-set Newton method started from the
 uniform-LP solution (the optimal input needs at most MQ - Q + 1 symbols).
 It prices every symbol from the cost tensor and an M x Q table of integrals
 on those nodes, and returns a certified interval [I(p), max_t D_t].
+
+Every function here takes the cost tensor (`entropy.cost_tensor`) as an
+argument and none builds it, so a caller computes h_t once per spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +56,6 @@ class LpSolution:
     iterations: int
     basis_size: int
     duals: np.ndarray  # M x Q: reduced cost of t is h_t - sum_j duals[t_j, j]
-    rate_bits: float | None = None  # uniform-transmission rate, when computed
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,28 +238,21 @@ def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
     )
 
 
-def solve_uniform_lp(costs: CostTensor, spec: ChannelSpec | None = None) -> LpSolution:
+def solve_uniform_lp(costs: CostTensor) -> LpSolution:
     """Uniform transmission: solve_marginal_lp with every marginal = 1/M.
 
-    When `spec` is given, the achieved rate h(Y) - objective is reported in
-    bits via `rate_bits`.
+    The rate it achieves is h(Y) at uniform marginals minus `objective`.
     """
-    sol = solve_marginal_lp(costs, MarginalSet.uniform(costs.m, costs.q))
-    if spec is None:
-        return sol
-    h_y = _entropy.output_entropy(MarginalSet.uniform(spec.m, spec.q), spec)
-    return replace(sol, rate_bits=(h_y - sol.objective) / LN2)
+    return solve_marginal_lp(costs, MarginalSet.uniform(costs.m, costs.q))
 
 
-def support_reduce(spec: ChannelSpec, p: JointPmf, costs: CostTensor | None = None) -> LpSolution:
+def support_reduce(p: JointPmf, costs: CostTensor) -> LpSolution:
     """Shrink the support of p to at most MQ - Q + 1 without losing rate.
 
-    Re-solves the marginal LP with targets = marginals of p; the optimum has
-    the same h(Y) and no larger h(Y|T), hence mutual information at least
-    that of p.
+    Re-solves the marginal LP on the cost tensor `costs` with targets = the
+    marginals of p; the optimum has the same h(Y) and no larger h(Y|T),
+    hence mutual information at least that of p.
     """
-    if costs is None:
-        costs = _entropy.cost_tensor(spec)
     return solve_marginal_lp(costs, marginals_of(p))
 
 
@@ -446,11 +441,12 @@ def _newton(channel: _AssociatedChannel, support, p_s, p_y, d_s, b):
 
 def capacity(
     spec: ChannelSpec,
-    costs: CostTensor | None = None,
+    costs: CostTensor,
     tol: float = 1e-7,
     max_iter: int = 1000,
 ) -> CapacityResult:
-    """Capacity of the associated channel with outputs on the quadrature nodes.
+    """Capacity of the associated channel with outputs on the quadrature nodes,
+    given `costs`, the cost tensor of `spec`.
 
     Maximizes the concave I(p) = sum_t p_t D_t over input pmfs by an active
     set method, starting from the uniform-LP solution. Every iteration
@@ -471,15 +467,13 @@ def capacity(
       columns that reach zero leave.
 
     Any p_Y bounds capacity above by max_t D_t, so the result certifies
-    capacity in [capacity_bits, upper_bound_bits]. `costs` defaults to
-    `cost_tensor(spec)`. Raises ValueError if `check_capacity_options`
-    fails, and BudgetExceededError if `check_capacity_budget` does, both
-    before any work.
+    capacity in [capacity_bits, upper_bound_bits]. Raises ValueError if
+    `check_capacity_options` fails or `costs` does not have the spec's M and
+    Q, and BudgetExceededError if `check_capacity_budget` fails, all before
+    any work.
     """
     check_capacity_options(tol, max_iter)
     check_capacity_budget(spec)
-    if costs is None:
-        costs = _entropy.cost_tensor(spec)
     if (costs.m, costs.q) != (spec.m, spec.q):
         raise ValueError("cost tensor shape does not match the channel spec")
     channel = _AssociatedChannel(spec, costs)

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from causalprecode import ChannelSpec, CostTensor, JointPmf, PrecoderCode, cost_tensor
+from causalprecode import (
+    ChannelSpec,
+    CostTensor,
+    JointPmf,
+    LpSolution,
+    MarginalSet,
+    PrecoderCode,
+    cost_tensor,
+)
 from causalprecode import entropy as _entropy
 from causalprecode.model import SUPPORT_THRESHOLD
 
@@ -35,6 +43,14 @@ def random_spec(rng: np.random.Generator, m: int, q: int, noise_power: float) ->
     r = r / r.sum()
     r[-1] = 1.0 - r[:-1].sum()
     return ChannelSpec(tuple(x), tuple(s), tuple(r), noise_power)
+
+
+def uniform_rate_bits(spec: ChannelSpec, sol: LpSolution) -> float:
+    """The uniform-transmission rate of a uniform-LP solution on the cost
+    tensor of `spec`: h(Y) at uniform marginals minus its objective, in bits,
+    as the CLI prints it."""
+    h_y = _entropy.output_entropy(MarginalSet.uniform(spec.m, spec.q), spec)
+    return (h_y - sol.objective) / _entropy.LN2
 
 
 def random_code(rng: np.random.Generator, m: int, q: int) -> PrecoderCode:

@@ -17,6 +17,7 @@ from helpers import (
     enumerate_vertex_objectives,
     exhaustive_assignment_min,
     random_spec,
+    uniform_rate_bits,
 )
 
 ID_LOW = "1-1;2-2"
@@ -228,9 +229,9 @@ def test_criterion_7_oracle_equivalences():
         q = 2 if m == 3 else int(rng.integers(2, 4))
         spec = random_spec(rng, m, q, noise_power=float(rng.uniform(0.1, 1.5)))
         costs = cp.cost_tensor(spec)
-        uniform = cp.solve_uniform_lp(costs, spec)
-        result = cp.capacity(spec, costs=costs)
-        worst_margin = min(worst_margin, result.capacity_bits - uniform.rate_bits)
+        uniform = uniform_rate_bits(spec, cp.solve_uniform_lp(costs))
+        result = cp.capacity(spec, costs)
+        worst_margin = min(worst_margin, result.capacity_bits - uniform)
     ok = worst_lp <= 1e-9 and worst_bnb == 0.0 and worst_margin >= -1e-6
     report(
         7,
@@ -248,7 +249,7 @@ def test_criterion_8_end_to_end_simulation():
     code = cp.PrecoderCode(((1, 2), (2, 1)))
     r1 = cp.simulate(code, spec, trials=10**6, seed=2026, workers=1)
     r8 = cp.simulate(code, spec, trials=10**6, seed=2026, workers=8)
-    truth = cp.mutual_information(cp.code_pmf(code, spec.m), spec)
+    truth = cp.mutual_information(cp.code_pmf(code, spec.m), spec, cp.cost_tensor(spec))
     mi_err = abs(r1.empirical_mi_bits - truth)
     ok = r1.ser < 1e-4 and mi_err < 0.02 and r1 == r8
     report(

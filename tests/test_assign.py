@@ -26,6 +26,7 @@ from helpers import (
     exhaustive_assignment_min,
     lexicographic_assignment_oracle,
     random_spec,
+    uniform_rate_bits,
 )
 
 
@@ -320,26 +321,27 @@ class TestRates:
     def test_binary_high_snr_approaches_one_bit(self):
         spec = binary_spec(noise_power=1e-3)
         a = Assignment(tuples=((1, 2), (2, 1)), total_cost=0.0)
-        assert assignment_rate(a, spec) == pytest.approx(1.0, abs=1e-4)
+        assert assignment_rate(a, spec, cost_tensor(spec)) == pytest.approx(1.0, abs=1e-4)
 
     def test_rate_bounded_by_log_m(self):
         rng = np.random.default_rng(73)
         for _ in range(5):
             spec = random_spec(rng, 3, 2, noise_power=float(rng.uniform(0.05, 1.0)))
-            a = multidim_assignment(cost_tensor(spec))
-            assert assignment_rate(a, spec) <= math.log2(3) + 1e-9
+            costs = cost_tensor(spec)
+            a = multidim_assignment(costs)
+            assert assignment_rate(a, spec, costs) <= math.log2(3) + 1e-9
 
     @pytest.mark.parametrize("noise_power", [0.01, 0.1, 1.0, 10.0])
     def test_best_assignment_equals_lp_rate_binary(self, noise_power):
         # Q=2 integrality is free: the LP optimum is an assignment.
         spec = binary_spec(noise_power)
         costs = cost_tensor(spec)
-        lp = solve_uniform_lp(costs, spec)
+        lp = solve_uniform_lp(costs)
         rates = []
         for tuples in (((1, 1), (2, 2)), ((1, 2), (2, 1))):
             a = Assignment(tuples=tuples, total_cost=0.0)
-            rates.append(assignment_rate(a, spec))
-        assert max(rates) == pytest.approx(lp.rate_bits, abs=1e-9)
+            rates.append(assignment_rate(a, spec, costs))
+        assert max(rates) == pytest.approx(uniform_rate_bits(spec, lp), abs=1e-9)
 
 
 class TestQ2IntegralityIsFree:
@@ -363,10 +365,10 @@ class TestQ2IntegralityIsFree:
         for _ in range(5):
             spec = random_spec(rng, 3, 3, noise_power=float(rng.uniform(0.1, 1.0)))
             costs = cost_tensor(spec)
-            lp = solve_uniform_lp(costs, spec)
+            lp_rate = uniform_rate_bits(spec, solve_uniform_lp(costs))
             a = multidim_assignment(costs)
-            rate = assignment_rate(a, spec)
-            assert rate <= lp.rate_bits + 1e-9
-            gaps.append(lp.rate_bits - rate)
+            rate = assignment_rate(a, spec, costs)
+            assert rate <= lp_rate + 1e-9
+            gaps.append(lp_rate - rate)
         # record the observed integrality gaps for the Q=3 open question
         print("observed Q=3 integrality gaps (bits):", [f"{g:.3e}" for g in gaps])

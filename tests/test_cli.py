@@ -147,6 +147,25 @@ def no_cost_tensor(*args, **kwargs):
     raise AssertionError("cost tensor built before the checks")
 
 
+@pytest.mark.parametrize(
+    "argv,tensors",
+    [(["uniform"], 1), (["assign"], 1), (["capacity"], 1),
+     (["sweep", "--snr-db=0:10:5"], 3), (["sweep", "--snr-db=0:10:5", "--with-ba"], 3)],
+)
+def test_one_cost_tensor_per_call_or_sweep_point(
+    argv, tensors, binary_spec_file, monkeypatch, capsys
+):
+    # Every LP, rate and capacity of a command, or of a sweep point, reads
+    # the one tensor built for its spec.
+    built = []
+    cost_tensor = entropy.cost_tensor
+    monkeypatch.setattr(
+        entropy, "cost_tensor", lambda spec: built.append(spec.noise_power) or cost_tensor(spec)
+    )
+    assert run([argv[0], binary_spec_file(), *argv[1:]]) == EXIT_OK
+    assert len(built) == len(set(built)) == tensors
+
+
 class TestSimulateCommand:
     def test_assign_then_simulate(self, binary_spec_file, tmp_path, capsys):
         path = binary_spec_file(noise=0.01)
@@ -240,6 +259,8 @@ class TestBadInput:
         # nodes, so the capacity solver's nodes x MQ component table would
         # hold 1.02e9 elements.
         path = binary_spec_file(noise=1e-12)
+        spec = ChannelSpec((-1.0, 1.0), (-1.0, 1.0), (0.5, 0.5), 1e-12)
+        costs = entropy.cost_tensor(spec)
 
         def no_work(*args):
             raise AssertionError("sweep point computed before the budget check")
@@ -250,7 +271,7 @@ class TestBadInput:
             codes = [run(["capacity", path]),
                      run(["sweep", path, "--snr-db=0:120:60", "--with-ba"])]
             with pytest.raises(BudgetExceededError, match="beyond the budget"):
-                optimize.capacity(ChannelSpec((-1.0, 1.0), (-1.0, 1.0), (0.5, 0.5), 1e-12))
+                optimize.capacity(spec, costs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -24,7 +24,7 @@ from causalprecode import (
 )
 from causalprecode import cli, entropy
 from causalprecode.entropy import QuadratureGrid, integrate
-from helpers import binary_spec, random_code, random_spec, riemann_entropy
+from helpers import binary_spec, random_spec, riemann_entropy
 
 
 def phi(y, mean, var):
@@ -179,12 +179,11 @@ class TestCostTensor:
         grid = quadrature_grid(spec)
         nodes = entropy._grid_nodes(grid)[0].size
         assert nodes % 9 != 0
-        ranks = np.arange(spec.num_symbols)
         # every node in one block, then blocks of 9 nodes, the last one partial
         monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", nodes * 27)
-        whole = entropy._symbol_entropies(spec, grid, ranks)
+        whole = entropy._symbol_entropies(spec, grid)
         monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", 9 * 27 + 1)
-        assert np.allclose(entropy._symbol_entropies(spec, grid, ranks), whole,
+        assert np.allclose(entropy._symbol_entropies(spec, grid), whole,
                            rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("noise_power", [0.05, 0.005])
@@ -197,7 +196,7 @@ class TestCostTensor:
         table_bytes = entropy._grid_nodes(grid)[0].size * spec.m * spec.q * 8
         tracemalloc.start()
         try:
-            entropy._symbol_entropies(spec, grid, np.arange(spec.num_symbols))
+            entropy._symbol_entropies(spec, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -208,7 +207,7 @@ class TestCostTensor:
         # integrals fall below the Gaussian floor and must not pass silently.
         with pytest.raises(ValueError, match="Gaussian floor"):
             entropy._symbol_entropies(
-                binary_spec(noise_power=0.1), QuadratureGrid(-0.5, 0.5, 4, 8), np.arange(4)
+                binary_spec(noise_power=0.1), QuadratureGrid(-0.5, 0.5, 4, 8)
             )
 
 
@@ -216,12 +215,23 @@ class TestMutualInformation:
     def test_point_mass_is_zero(self):
         spec = binary_spec()
         p = JointPmf.from_entries(2, 2, {(2, 1): 1.0})
-        assert abs(mutual_information(p, spec)) < 1e-12
+        assert abs(mutual_information(p, spec, cost_tensor(spec))) < 1e-12
+
+    def test_cost_tensor_of_another_spec_rejected(self):
+        # PAM-4 with two levels and binary with four both have 16 symbols,
+        # so only the tensor's shape tells their cost tensors apart.
+        pam4 = ChannelSpec((-3.0, -1.0, 1.0, 3.0), (-1.0, 1.0), (0.5, 0.5), 0.1)
+        costs = cost_tensor(ChannelSpec((-1.0, 1.0), (-3.0, -1.0, 1.0, 3.0), (0.25,) * 4, 0.1))
+        with pytest.raises(ValueError, match="cost tensor shape"):
+            mutual_information(JointPmf.uniform(4, 2), pam4, costs)
+        a = Assignment(((1, 2), (2, 1), (3, 4), (4, 3)), total_cost=0.0)
+        with pytest.raises(ValueError, match="cost tensor shape"):
+            assignment_rate(a, pam4, costs)
 
     def test_fig2_high_snr_limit(self):
         spec = binary_spec(noise_power=1e-4)
         p = JointPmf.from_entries(2, 2, {(1, 2): 0.5, (2, 1): 0.5})
-        assert mutual_information(p, spec) == pytest.approx(1.0, abs=1e-6)
+        assert mutual_information(p, spec, cost_tensor(spec)) == pytest.approx(1.0, abs=1e-6)
 
     def test_bounds_random(self):
         rng = np.random.default_rng(23)
@@ -229,20 +239,21 @@ class TestMutualInformation:
             spec = random_spec(rng, 2, 2, noise_power=float(rng.uniform(0.05, 1.0)))
             raw = rng.uniform(size=4)
             p = JointPmf(2, 2, raw / raw.sum())
-            mi = mutual_information(p, spec)
+            mi = mutual_information(p, spec, cost_tensor(spec))
             assert -1e-9 <= mi <= math.log2(4) + 1e-9
 
     def test_midpoint_concavity(self):
         rng = np.random.default_rng(29)
         spec = binary_spec()
+        costs = cost_tensor(spec)
         for _ in range(10):
             a = rng.uniform(size=4)
             b = rng.uniform(size=4)
             pa = JointPmf(2, 2, a / a.sum())
             pb = JointPmf(2, 2, b / b.sum())
             mid = JointPmf(2, 2, 0.5 * (pa.probs + pb.probs))
-            lhs = mutual_information(mid, spec)
-            rhs = 0.5 * (mutual_information(pa, spec) + mutual_information(pb, spec))
+            lhs = mutual_information(mid, spec, costs)
+            rhs = 0.5 * (mutual_information(pa, spec, costs) + mutual_information(pb, spec, costs))
             assert lhs >= rhs - 1e-9
 
     def test_noise_monotonicity(self):
@@ -257,7 +268,8 @@ class TestMutualInformation:
             )
             raw = rng.uniform(size=base.num_symbols)
             p = JointPmf(base.m, base.q, raw / raw.sum())
-            assert mutual_information(p, noisier) <= mutual_information(p, base) + 1e-9
+            assert mutual_information(p, noisier, cost_tensor(noisier)) <= (
+                mutual_information(p, base, cost_tensor(base)) + 1e-9)
 
     def test_costs_shortcut_matches(self):
         # A sweep rates each assignment as h(Y) minus its mean cost-tensor
@@ -276,52 +288,7 @@ class TestMutualInformation:
             for aid, tuples in assignments.items():
                 a = Assignment(tuples, total_cost=0.0)
                 assert row.rate_per_assignment[aid] == pytest.approx(
-                    assignment_rate(a, point), abs=1e-12)
-
-    @pytest.mark.parametrize("m,q", [(3, 3), (32, 2)])
-    def test_support_only_rate_matches_the_full_tensor(self, m, q, monkeypatch):
-        # Without `costs`, h_t is evaluated for the M support symbols only,
-        # by the same path that fills the whole tensor, on both sides of the
-        # input-size rule: the default grid (ratio 0) and the split (inf).
-        rng = np.random.default_rng(37 + m)
-        spec = random_spec(rng, m, q, 0.05)
-        a = Assignment(random_code(rng, m, q).symbols, total_cost=0.0)
-        nodes = entropy._grid_nodes(quadrature_grid(spec))[0].size
-        mixtures, samples = [], []
-        cluster_split = entropy._cluster_split
-        monkeypatch.setattr(
-            entropy,
-            "_cluster_split",
-            lambda means, w, sigma: mixtures.append(len(means)) or cluster_split(means, w, sigma),
-        )
-        mixture_matrix = entropy._mixture_matrix
-        monkeypatch.setattr(
-            entropy,
-            "_mixture_matrix",
-            lambda g, digits: samples.append(g.shape[0] * len(digits[0]))
-            or mixture_matrix(g, digits),
-        )
-        for ratio in (0.0, math.inf):
-            monkeypatch.setattr(entropy, "_SPLIT_WORK_RATIO", ratio)
-            full = assignment_rate(a, spec, cost_tensor(spec))
-            mixtures.clear()
-            samples.clear()
-            assert assignment_rate(a, spec) == pytest.approx(full, abs=1e-12)
-            # the M support symbols, then h(Y)'s one mixture, and no other symbol
-            assert mixtures == [m, 1]
-            # on the grid, each support column once at every node
-            assert sum(samples) == (m * nodes if ratio == 0.0 else 0)
-
-    def test_support_only_rate_keeps_the_floor_check(self, monkeypatch):
-        # Windows that stop at the extreme means miss much of the mass of
-        # the outer components: on both sides of the input-size rule the
-        # truncated integrals fall below the Gaussian floor.
-        monkeypatch.setattr(entropy, "_WINDOW_SIGMAS", 0.0)
-        p = JointPmf.from_entries(2, 2, {(1, 2): 0.5, (2, 1): 0.5})
-        for ratio in (0.0, math.inf):
-            monkeypatch.setattr(entropy, "_SPLIT_WORK_RATIO", ratio)
-            with pytest.raises(ValueError, match="Gaussian floor"):
-                mutual_information(p, binary_spec(noise_power=1.0))
+                    assignment_rate(a, point, cost_tensor(point)), abs=1e-12)
 
     def test_output_normalization(self):
         spec = binary_spec()
@@ -345,7 +312,8 @@ class TestMutualInformation:
             for k, t in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)])
         )
         oracle_bits = (h_y - h_y_t) / math.log(2.0)
-        assert mutual_information(p, spec) == pytest.approx(oracle_bits, abs=1e-7)
+        assert mutual_information(p, spec, cost_tensor(spec)) == pytest.approx(
+            oracle_bits, abs=1e-7)
 
 
 PAM8Q4 = ((-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0), (-3.0, -1.0, 1.0, 3.0), (0.25,) * 4)
@@ -438,9 +406,7 @@ class TestClusterSplit:
                 spec = replace(
                     spec, noise_power=noise_power_for_snr_db(spec.constellation, snr_db)
                 )
-                on_grid = entropy._symbol_entropies(
-                    spec, quadrature_grid(spec), np.arange(spec.num_symbols)
-                )
+                on_grid = entropy._symbol_entropies(spec, quadrature_grid(spec))
                 assert np.abs(cost_tensor(spec).values.ravel() - on_grid).max() <= 1e-12
                 raw = rng.uniform(size=(q, m)) * (rng.uniform(size=(q, m)) < 0.7)
                 raw[:, 0] += 0.1

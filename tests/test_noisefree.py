@@ -61,6 +61,13 @@ class TestBuild:
         with pytest.raises(RuntimeError, match="not disjoint"):
             build_zero_error_code(nf_spec([0.0, 1.0], [0.0, 1.0]))
 
+    def test_message_claimed_twice_raises(self, monkeypatch):
+        # X = {0, 1, 3} is no progression: the message that owns 3 (level 0)
+        # takes 4 at level 1, and level 3 brings both 3 and 4 again.
+        monkeypatch.setattr(noisefree, "is_arithmetic_progression", lambda values: True)
+        with pytest.raises(RuntimeError, match="claimed twice"):
+            build_zero_error_code(nf_spec([0.0, 1.0, 3.0], [0.0, 1.0, 3.0]))
+
     def test_single_state_identity(self):
         z = build_zero_error_code(nf_spec([0.0, 0.5, 1.0], [0.25]))
         assert z.code.symbols == ((1,), (2,), (3,))

@@ -8,6 +8,7 @@ from causalprecode import (
     ChannelSpec,
     PrecoderCode,
     code_pmf,
+    cost_tensor,
     decode,
     mutual_information,
     noise_power_for_snr_db,
@@ -81,7 +82,7 @@ class TestErrorRates:
 class TestMiEstimate:
     def test_matches_quadrature_at_10db(self):
         spec = binary_spec(noise_power=0.1)
-        truth = mutual_information(code_pmf(ZERO_ERROR_CODE, spec.m), spec)
+        truth = mutual_information(code_pmf(ZERO_ERROR_CODE, spec.m), spec, cost_tensor(spec))
         r5 = simulate(ZERO_ERROR_CODE, spec, trials=100_000, seed=19)
         assert abs(r5.empirical_mi_bits - truth) < 0.05
         r6 = simulate(ZERO_ERROR_CODE, spec, trials=1_000_000, seed=19)
@@ -90,7 +91,7 @@ class TestMiEstimate:
     def test_matches_quadrature_at_0db(self):
         # heavily overlapping mixtures: the posterior entropy does the work
         spec = binary_spec(noise_power=1.0)
-        truth = mutual_information(code_pmf(ZERO_ERROR_CODE, spec.m), spec)
+        truth = mutual_information(code_pmf(ZERO_ERROR_CODE, spec.m), spec, cost_tensor(spec))
         r = simulate(ZERO_ERROR_CODE, spec, trials=500_000, seed=21)
         assert abs(r.empirical_mi_bits - truth) < 0.01
 
