@@ -12,11 +12,9 @@ Mixture entropies go through one kernel, `_mixture_entropies`: each
 mixture is split where neighbouring means lie more than 20 sigma apart, and
 h = sum_c W_c h_c + H(W) over its clusters. A cluster's h_c is closed form
 for a single Gaussian, and otherwise an integral computed once per distinct
-cluster shape, so the cost does not grow with SNR. Cost tensors whose
-distinct clusters would cost more than the default grid (`quadrature_grid`)
-fall back to it: there every density is a sum over one component table
-r_j phi(y - x_i - s_j), and every entropy one weighted reduction of density
-samples. The input sizes choose the path; no caller does.
+cluster shape, so the cost does not grow with SNR. The default grid
+(`quadrature_grid`) and its component table r_j phi(y - x_i - s_j) serve the
+library densities and the capacity solver, not the entropies.
 
 All internal entropies are in nats; conversion to bits happens only at API
 boundaries.
@@ -54,15 +52,15 @@ _NODES_PER_PANEL = 32
 # Entropy of a unit-variance Gaussian, (1/2) ln(2 pi e), in nats.
 _STANDARD_ENTROPY = 0.5 * math.log(2.0 * math.pi * math.e)
 
-# The cluster split runs when its distinct clusters need at most this many
-# times the nodes x (symbols + MQ) of the default-grid path: one unit of
-# either costs about the same (BENCH_cluster_split.json, `split_rule`).
-_SPLIT_WORK_RATIO = 1.0
-
-# Density samples reduced to entropies at once: a block of grid nodes x
-# symbols stays within this many float64 elements (512 kB), so it stays in
-# L2 cache from the gather through the log to the product with the weights.
+# Density samples integrated at once: a block of mixtures x panels x
+# max(components, nodes per panel) stays within this many float64 elements
+# (512 kB), so it stays in L2 cache from the exps through the log to the
+# product with the weights.
 _BLOCK_ELEMENTS = 1 << 16
+
+# Largest exponent of the middle factor in `_standard_entropies`; e^700 is
+# finite, and wherever the cap binds the first factor is exactly 0.
+_EXP_CAP = 700.0
 
 
 def gaussian_entropy(variance: float) -> float:
@@ -244,19 +242,6 @@ class CostTensor:
         return float(self.values[tuple(i - 1 for i in symbol)])
 
 
-def _mixture_matrix(g: np.ndarray, digits: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Densities of the symbols with the given 0-based letters, from a component table.
-
-    `g` has shape (N, M, Q) and `digits` holds Q letter arrays, as
-    `np.unravel_index` gives them for flat ranks; returns shape
-    (N, len(digits[0])), one column per symbol.
-    """
-    dens = g[:, digits[0], 0]
-    for j in range(1, len(digits)):
-        dens += g[:, digits[j], j]
-    return dens
-
-
 def _check_floor(values: np.ndarray, sigma: float) -> None:
     """A mixture's entropy is at least its component entropy; falling below
     it means the grid does not cover the densities."""
@@ -268,45 +253,56 @@ def _check_floor(values: np.ndarray, sigma: float) -> None:
         )
 
 
-def _symbol_entropies(spec: ChannelSpec, grid: QuadratureGrid) -> np.ndarray:
-    """h_t in nats for every symbol, in flat-rank order.
-
-    One component table serves all symbols; the grid is walked in blocks of
-    nodes with at most _BLOCK_ELEMENTS samples, and each block's partial
-    entropies add up.
-    """
-    nodes, weights = _grid_nodes(grid)
-    g = _components(spec, nodes)
-    digits = np.unravel_index(np.arange(spec.num_symbols), (spec.m,) * spec.q)
-    rows = max(1, _BLOCK_ELEMENTS // spec.num_symbols)
-    values = sum(
-        _entropy_from_samples(_mixture_matrix(g[lo:lo + rows], digits), weights[lo:lo + rows])
-        for lo in range(0, len(nodes), rows)
-    )
-    _check_floor(values, _sigma(spec))
-    return values
-
-
-def _standard_entropies(
-    offsets: np.ndarray, shares: np.ndarray, nodes: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
+def _standard_entropies(offsets: np.ndarray, shares: np.ndarray, panels: np.ndarray) -> np.ndarray:
     """-integral f ln f (nats) of the unit-variance mixtures
-    f(u) = sum_j shares[d, j] phi(u - offsets[d, j]), one per row d, on the
-    given nodes, walked in blocks of at most _BLOCK_ELEMENTS component samples.
+    f(u) = sum_j shares[d, j] phi(u - offsets[d, j]), one per row d, each on
+    its own `panels[d]` panels of _PANEL_SIGMAS from -_WINDOW_SIGMAS on.
+
+    A node is u = c_p + r_k, with c_p its panel's centre and r_k one of the
+    reference nodes scaled to the panel. With c_0 the first centre of a
+    block of panels, each Gaussian factors as
+        phi(u - o) ~ exp(-(c_p - o)^2 / 2) exp((o - c_0) r_k) exp(-(c_p - c_0) r_k - r_k^2 / 2),
+    so a block takes one exp per panel and component, one per component and
+    reference node, and one (panel, node) table shared by all its mixtures;
+    the densities are then one batched matrix product. The middle exponent
+    is capped at _EXP_CAP: a block spans at most 1,024 sigmas, so wherever
+    the cap binds the first factor is exactly 0. Rows go longest first into
+    blocks of whole panels, rows x panels x max(components, nodes) at most
+    _BLOCK_ELEMENTS; a row's panels beyond its own grid are masked out.
     """
-    shares = (shares / math.sqrt(2.0 * math.pi))[:, None, :]
-    rows = max(1, _BLOCK_ELEMENTS // offsets.size)
-
-    def block(lo: int) -> np.ndarray:
-        # (mixture, component, node): the sum over components is one short
-        # row times a long matrix per mixture.
-        z = nodes[None, None, lo:lo + rows] - offsets[:, :, None]
-        z *= z
-        z *= -0.5
-        np.exp(z, out=z)
-        return _entropy_from_samples((shares @ z)[:, 0, :].T, weights[lo:lo + rows])
-
-    return sum(block(lo) for lo in range(0, len(nodes), rows))
+    ref_x, ref_w = _reference_rule(_NODES_PER_PANEL)
+    half = 0.5 * _PANEL_SIGMAS
+    r, weights = half * ref_x, half * ref_w
+    width = max(offsets.shape[1], r.size)
+    shares = shares / math.sqrt(2.0 * math.pi)
+    order = np.argsort(-panels, kind="stable")
+    h = np.zeros(len(order))
+    start = 0
+    while start < len(order):
+        most = int(panels[order[start]])
+        step = max(1, min(most, _BLOCK_ELEMENTS // width))
+        rows = order[start:start + max(1, _BLOCK_ELEMENTS // (step * width))]
+        start += len(rows)
+        o, w, ends = offsets[rows, :, None], shares[rows, :, None], panels[rows, None]
+        for lo in range(0, most, step):
+            index = np.arange(lo, min(lo + step, most))
+            c = -_WINDOW_SIGMAS + half + _PANEL_SIGMAS * index
+            first = o - c  # (row, component, panel): long inner loops over panels
+            first *= first
+            first *= -0.5
+            np.exp(first, out=first)
+            first *= (index < ends)[:, None, :]
+            middle = (o - c[0]) * r  # (row, component, node)
+            np.minimum(middle, _EXP_CAP, out=middle)
+            np.exp(middle, out=middle)
+            middle *= w
+            last = np.outer(c - c[0], r)
+            last += 0.5 * r * r
+            dens = first.transpose(0, 2, 1) @ middle
+            dens *= np.exp(-last, out=last)
+            samples = dens.reshape(len(rows), -1).T  # (node, row)
+            h[rows] += _entropy_from_samples(samples, np.tile(weights, len(c)))
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,31 +323,9 @@ class _ClusterSplit:
     shares: np.ndarray  # (D, C), 0-padded
     panels: np.ndarray  # (D,)
 
-    def _groups(self):
-        """(panels, the distinct shapes on that many panels, their most components)."""
-        sizes = np.count_nonzero(self.shares, axis=1)
-        for panels in sorted(set(self.panels.tolist())):  # np.unique would import numpy.ma
-            members = np.flatnonzero(self.panels == panels)
-            yield panels, members, int(sizes[members].max())
-
-    @property
-    def work(self) -> int:
-        """Density samples x components that integrating the distinct shapes takes."""
-        return sum(_NODES_PER_PANEL * p * len(members) * c for p, members, c in self._groups())
-
     def entropies(self) -> np.ndarray:
         """One entropy in nats per mixture: sum_c W_c h_c + H(W)."""
-        # Every cluster grid starts _WINDOW_SIGMAS below the lowest mean with
-        # panels of _PANEL_SIGMAS, so each is a prefix of the longest one.
-        most = int(self.panels.max(initial=1))
-        lo = -_WINDOW_SIGMAS
-        nodes, weights = _grid_nodes(QuadratureGrid(lo, lo + most * _PANEL_SIGMAS, most))
-        distinct = np.empty(len(self.panels))
-        for panels, members, c in self._groups():
-            n = panels * _NODES_PER_PANEL
-            distinct[members] = _standard_entropies(
-                self.offsets[members, :c], self.shares[members, :c], nodes[:n], weights[:n]
-            )
+        distinct = _standard_entropies(self.offsets, self.shares, self.panels)
         if distinct.size:
             _check_floor(distinct + math.log(self.sigma), self.sigma)
         h = np.full(self.shape.size, _STANDARD_ENTROPY)
@@ -430,24 +404,16 @@ def _mixture_entropies(means: np.ndarray, weights: np.ndarray, sigma: float) -> 
 def cost_tensor(spec: ChannelSpec) -> CostTensor:
     """Differential entropy of the output for every associated symbol.
 
-    The cluster split runs unless its distinct clusters take more than
-    _SPLIT_WORK_RATIO times the samples x components of `_symbol_entropies`
-    on the default grid (nodes x (symbols + MQ)); then that path runs. Few
-    distinct clusters (structured constellations, high SNR) split; random
-    constellations at low SNR, with nearly one cluster per symbol, do not.
+    Symbol t's mixture has means x_{i_j} + s_j and weights r_j; all M^Q
+    mixtures go through the cluster split, so each distinct cluster shape
+    is integrated once, on its own grid.
     """
     sigma = _sigma(spec)
     shape = (spec.m,) * spec.q
     letters = np.stack(np.unravel_index(np.arange(spec.num_symbols), shape), axis=-1)
     means = np.asarray(spec.constellation)[letters] + np.asarray(spec.interference_levels)
-    split = _cluster_split(means, np.broadcast_to(spec.interference_probs, means.shape), sigma)
-    lo, hi = _window(spec)
-    nodes = _NODES_PER_PANEL * _panels((hi - lo) / sigma)
-    if split.work > _SPLIT_WORK_RATIO * nodes * (spec.num_symbols + spec.m * spec.q):
-        values = _symbol_entropies(spec, quadrature_grid(spec))
-    else:
-        values = split.entropies()
-    return CostTensor(values.reshape(shape))
+    weights = np.broadcast_to(spec.interference_probs, means.shape)
+    return CostTensor(_mixture_entropies(means, weights, sigma).reshape(shape))
 
 
 def output_entropy(marginals: MarginalSet, spec: ChannelSpec) -> float:

@@ -20,10 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelSpec, PrecoderCode, snr_db_of
+from .model import BudgetExceededError, ChannelSpec, PrecoderCode, snr_db_of
 
 _DRAWS_PER_TRIAL = 4  # one Philox 4x64 block; draw 3 is reserved
 _BATCH = 1 << 14  # an (M*Q, batch) exponent block stays in cache
+# Most trials per run: a longer run fails before any work (exit 3). The
+# batch plan at this size is 61k jobs, a few tens of MB.
+_TRIALS_MAX = 10**9
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,13 @@ def simulate(
     """Monte Carlo run of `trials` one-shot transmissions.
 
     Deterministic given (seed, trials, code, spec); `workers` only
-    parallelizes fixed batches and never changes the result.
+    parallelizes fixed batches and never changes the result. Raises
+    BudgetExceededError beyond _TRIALS_MAX trials.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > _TRIALS_MAX:
+        raise BudgetExceededError(f"{trials} trials, beyond the budget of {_TRIALS_MAX}")
     means = _check_inputs(code, spec)
     starts = list(range(0, trials, _BATCH))
     jobs = [(s, min(_BATCH, trials - s)) for s in starts]

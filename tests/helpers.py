@@ -67,6 +67,24 @@ def riemann_entropy(pdf, lo: float, hi: float, n: int = 400_000) -> float:
     return float(np.sum(np.where(mask, -p * np.log(np.where(mask, p, 1.0)), 0.0)) * (hi - lo) / n)
 
 
+def default_grid_entropies(spec: ChannelSpec) -> np.ndarray:
+    """h_t in nats for every symbol, in flat-rank order, on the default grid.
+
+    No cluster split: every symbol's density is summed from one component
+    table on the nodes of `quadrature_grid(spec)`, in blocks of at most
+    2^16 samples, and each block's partial entropies add up.
+    """
+    nodes, weights = _entropy._grid_nodes(_entropy.quadrature_grid(spec))
+    g = _entropy._components(spec, nodes)
+    digits = np.unravel_index(np.arange(spec.num_symbols), (spec.m,) * spec.q)
+    rows = max(1, (1 << 16) // spec.num_symbols)
+    values = np.zeros(spec.num_symbols)
+    for lo in range(0, len(nodes), rows):
+        dens = sum(g[lo:lo + rows, digits[j], j] for j in range(spec.q))
+        values += _entropy._entropy_from_samples(dens, weights[lo:lo + rows])
+    return values
+
+
 def marginal_constraint_matrix(m: int, q: int) -> np.ndarray:
     """All MQ marginal-constraint rows over the M^Q lexicographic columns."""
     rows = []

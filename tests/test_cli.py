@@ -182,6 +182,17 @@ class TestSimulateCommand:
         assert fields[0] == "7" and fields[1] == "20000"
         assert float(fields[2]) == pytest.approx(20.0)
 
+    def test_trials_beyond_the_budget_fail_before_any_work(
+        self, binary_spec_file, tmp_path, capsys
+    ):
+        # 10^15 trials would plan 6.1e10 batches, more than memory holds.
+        path = binary_spec_file(noise=0.01)
+        code_file = tmp_path / "code.txt"
+        code_file.write_text("1 2\n2 1\n")
+        assert run(["simulate", path, "--code", str(code_file),
+                    "--trials", "1000000000000000"]) == EXIT_BUDGET
+        assert "beyond the budget" in capsys.readouterr().err
+
 
 class TestCapacityCommand:
     def test_reports_and_converges(self, binary_spec_file, capsys):

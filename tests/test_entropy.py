@@ -24,7 +24,7 @@ from causalprecode import (
 )
 from causalprecode import cli, entropy
 from causalprecode.entropy import QuadratureGrid, integrate
-from helpers import binary_spec, random_spec, riemann_entropy
+from helpers import binary_spec, default_grid_entropies, random_spec, riemann_entropy
 
 
 def phi(y, mean, var):
@@ -176,39 +176,30 @@ class TestCostTensor:
 
     def test_blocks_do_not_change_the_tensor(self, monkeypatch):
         spec = random_spec(np.random.default_rng(5), 3, 3, 0.1)
-        grid = quadrature_grid(spec)
-        nodes = entropy._grid_nodes(grid)[0].size
-        assert nodes % 9 != 0
-        # every node in one block, then blocks of 9 nodes, the last one partial
-        monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", nodes * 27)
-        whole = entropy._symbol_entropies(spec, grid)
-        monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", 9 * 27 + 1)
-        assert np.allclose(entropy._symbol_entropies(spec, grid), whole,
-                           rtol=0.0, atol=1e-13)
+        most = int(_split_of(spec).panels.max())
+        assert most > 2 * 9 and most % 9 != 0
+        # every mixture in one block, then one mixture per block of 9 panels,
+        # at least 3 blocks on the longest grid and its last one partial
+        monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", 1 << 30)
+        whole = cost_tensor(spec).values
+        monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", 9 * entropy._NODES_PER_PANEL)
+        assert np.allclose(cost_tensor(spec).values, whole, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("noise_power", [0.05, 0.005])
     def test_memory_does_not_grow_with_symbols_times_nodes(self, noise_power):
-        # PAM-8/Q=4: 4096 symbols; a dense density matrix would take
-        # nodes x 4096 x 8 bytes (230 MB at P_N = 0.05).
-        spec = ChannelSpec((-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0),
-                           (-3.0, -1.0, 1.0, 3.0), (0.25,) * 4, noise_power)
-        grid = quadrature_grid(spec)
-        table_bytes = entropy._grid_nodes(grid)[0].size * spec.m * spec.q * 8
+        # PAM-8/Q=4: 4096 symbols; a dense density matrix on the default grid
+        # would take nodes x 4096 x 8 bytes (230 MB at P_N = 0.05). The
+        # traced peak is 2.4-2.5 MiB at either P_N: the means and the sort of
+        # the split, then a few blocks of _BLOCK_ELEMENTS.
+        spec = ChannelSpec(*PAM8Q4, noise_power)
+        cost_tensor(spec)  # caches the Gauss-Legendre rule outside the trace
         tracemalloc.start()
         try:
-            entropy._symbol_entropies(spec, grid)
+            cost_tensor(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * table_bytes + 4 * 8 * entropy._BLOCK_ELEMENTS
-
-    def test_grid_too_narrow_for_the_floor_rejected(self):
-        # [-0.5, 0.5] misses most of every mixture's mass: the truncated
-        # integrals fall below the Gaussian floor and must not pass silently.
-        with pytest.raises(ValueError, match="Gaussian floor"):
-            entropy._symbol_entropies(
-                binary_spec(noise_power=0.1), QuadratureGrid(-0.5, 0.5, 4, 8)
-            )
+        assert peak <= 4 << 20
 
 
 class TestMutualInformation:
@@ -329,15 +320,24 @@ def _pinned(values):
     return tuple(-2.0 + 4.0 * (v - v.min()) / (v.max() - v.min()))
 
 
+def _split_of(spec):
+    """The cluster split `cost_tensor` makes of the spec's M^Q mixtures."""
+    shape = (spec.m,) * spec.q
+    letters = np.stack(np.unravel_index(np.arange(spec.num_symbols), shape), axis=-1)
+    means = np.asarray(spec.constellation)[letters] + np.asarray(spec.interference_levels)
+    weights = np.broadcast_to(spec.interference_probs, means.shape)
+    return entropy._cluster_split(means, weights, math.sqrt(spec.noise_power))
+
+
 def _on_the_default_grid(marg, spec):
-    """h(Y) on the default grid, by the reduction that fills the grid path's tensor."""
+    """h(Y) on the default grid, without the cluster split."""
     return differential_entropy(lambda y: output_pdf(marg, y, spec), quadrature_grid(spec))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestClusterSplit:
-    """The default (grid-less) path: mixtures split where neighbouring means
-    lie more than 20 sigma apart, each distinct cluster integrated once."""
+    """The one entropy path: mixtures split where neighbouring means lie more
+    than 20 sigma apart, each distinct cluster integrated once."""
 
     @pytest.mark.parametrize("gap", [19.9, 20.0, 20.1])
     def test_gaps_around_the_split_against_riemann(self, gap):
@@ -396,9 +396,7 @@ class TestClusterSplit:
         oracle = riemann_entropy(lambda y: output_pdf(uniform, y, point), lo, hi)
         assert entropy.output_entropy(uniform, point) == pytest.approx(oracle, abs=1e-9)
 
-    def test_split_matches_the_explicit_grid(self, monkeypatch):
-        # Every symbol set takes the split, however many distinct clusters.
-        monkeypatch.setattr(entropy, "_SPLIT_WORK_RATIO", math.inf)
+    def test_split_matches_the_explicit_grid(self):
         rng = np.random.default_rng(53)
         for m, q in [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3)]:
             for snr_db in (-5.0, 5.0, 15.0, 30.0, 45.0, 60.0):
@@ -406,7 +404,7 @@ class TestClusterSplit:
                 spec = replace(
                     spec, noise_power=noise_power_for_snr_db(spec.constellation, snr_db)
                 )
-                on_grid = entropy._symbol_entropies(spec, quadrature_grid(spec))
+                on_grid = default_grid_entropies(spec)
                 assert np.abs(cost_tensor(spec).values.ravel() - on_grid).max() <= 1e-12
                 raw = rng.uniform(size=(q, m)) * (rng.uniform(size=(q, m)) < 0.7)
                 raw[:, 0] += 0.1
@@ -415,12 +413,12 @@ class TestClusterSplit:
                     _on_the_default_grid(marg, spec), abs=1e-12
                 )
 
-    @pytest.mark.parametrize("m,q,grid_calls", [(16, 3, 1), (32, 2, 0), (8, 4, 0)],
+    @pytest.mark.parametrize("m,q", [(16, 3), (32, 2), (8, 4)],
                              ids=["rand16x3", "rand32x2", "pam8q4"])
-    def test_input_sizes_choose_the_path(self, m, q, grid_calls, monkeypatch):
-        # At P_N = 0.05 random 16/3 has nearly one distinct cluster per
-        # symbol and falls back to the default grid; random 32/2 (few
-        # components per symbol) and PAM-8/Q=4 (36 distinct clusters) split.
+    def test_cost_tensor_reaches_no_default_grid(self, m, q, monkeypatch):
+        # Random 16/3 at P_N = 0.05 has nearly one distinct cluster per
+        # symbol, random 32/2 few components per symbol, PAM-8/Q=4 36
+        # distinct clusters; all of them take the split alone.
         if m == 8:
             spec = ChannelSpec(*PAM8Q4, 0.05)
         else:
@@ -428,12 +426,24 @@ class TestClusterSplit:
             spec = random_spec(np.random.default_rng(61), m, q, 0.05)
             spec = replace(spec, constellation=_pinned(spec.constellation),
                            interference_levels=_pinned(spec.interference_levels))
-        calls = []
-        symbol_entropies = entropy._symbol_entropies
-        monkeypatch.setattr(entropy, "_symbol_entropies",
-                            lambda *args: calls.append(1) or symbol_entropies(*args))
-        cost_tensor(spec)
-        assert len(calls) == grid_calls
+
+        def unreachable(*args):
+            raise AssertionError("cost_tensor reached the default grid")
+
+        for name in ("_components", "quadrature_grid", "_grid_nodes"):
+            monkeypatch.setattr(entropy, name, unreachable)
+        costs = cost_tensor(spec)
+        assert costs.values.shape == (m,) * q
+        assert costs.values.min() >= gaussian_entropy(spec.noise_power) - 1e-9
+
+    def test_wide_cluster_keeps_the_middle_factor_finite(self):
+        # 152 means 19 sigma apart form one cluster 2,869 sigma wide, where
+        # exp((o - c_0) r_k) would overflow without its cap; the components
+        # overlap below e^-45, so h is ln 152 plus the Gaussian entropy.
+        sigma = 0.7
+        means = sigma * 19.0 * np.arange(152.0)[None]
+        got = entropy._mixture_entropies(means, np.full_like(means, 1.0 / 152), sigma)[0]
+        assert got == pytest.approx(math.log(152) + gaussian_entropy(sigma * sigma), abs=1e-12)
 
     def test_density_samples_do_not_grow_with_snr(self, monkeypatch):
         # PAM-8/Q=4: 36 distinct clusters at P_N = 0.05; at 1e-6 every
@@ -458,7 +468,6 @@ class TestClusterSplit:
         # Cluster grids that stop at the extreme means miss the outer half
         # of every component: the truncated integrals fall below the
         # Gaussian floor.
-        monkeypatch.setattr(entropy, "_SPLIT_WORK_RATIO", math.inf)
         monkeypatch.setattr(entropy, "_WINDOW_SIGMAS", 0.0)
         with pytest.raises(ValueError, match="Gaussian floor"):
             cost_tensor(binary_spec(noise_power=0.1))

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import log_softmax, logsumexp
 
 from causalprecode import (
+    BudgetExceededError,
     ChannelSpec,
     PrecoderCode,
     code_pmf,
@@ -169,6 +170,15 @@ def test_decode_block_matches_log_domain_reference(spec, code):
     clear = gap > 1e-9
     assert np.array_equal(decisions[clear], ref_decisions[clear])
     assert np.max(np.abs(entropies - ref_entropies)) < 1e-9
+
+
+def test_trials_beyond_the_budget_raise_before_any_batch(monkeypatch):
+    def no_batch(*args):
+        raise AssertionError("a batch ran before the budget check")
+
+    monkeypatch.setattr(sim, "_run_batch", no_batch)
+    with pytest.raises(BudgetExceededError, match="beyond the budget"):
+        simulate(ZERO_ERROR_CODE, binary_spec(), trials=sim._TRIALS_MAX + 1, seed=1)
 
 
 def test_csv_row_format():
