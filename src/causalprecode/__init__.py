@@ -31,17 +31,7 @@ from .model import (
     symbol_from_rank,
     symbol_rank,
 )
-from .entropy import (
-    CostTensor,
-    QuadratureGrid,
-    cost_tensor,
-    differential_entropy,
-    gaussian_entropy,
-    mixture_pdf,
-    mutual_information,
-    output_pdf,
-    quadrature_grid,
-)
+from .entropy import CostTensor, cost_tensor, gaussian_entropy, mutual_information
 from .optimize import (
     CapacityResult,
     LpSolution,
@@ -75,7 +65,6 @@ __all__ = [
     "MarginalSet",
     "OutputMultiset",
     "PrecoderCode",
-    "QuadratureGrid",
     "SUPPORT_THRESHOLD",
     "SimReport",
     "ZeroErrorCode",
@@ -87,7 +76,6 @@ __all__ = [
     "cost_tensor",
     "decode",
     "decode_noisefree",
-    "differential_entropy",
     "enumerate_symbols",
     "exhaustive_search",
     "format_spec_text",
@@ -95,15 +83,12 @@ __all__ = [
     "is_arithmetic_progression",
     "load_spec",
     "marginals_of",
-    "mixture_pdf",
     "multidim_assignment",
     "mutual_information",
     "noise_power_for_snr_db",
     "output_multisets",
-    "output_pdf",
     "parse_spec_text",
     "precode",
-    "quadrature_grid",
     "simulate",
     "snr_db_of",
     "solve_marginal_lp",

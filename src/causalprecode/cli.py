@@ -290,9 +290,10 @@ def _cmd_sweep(args) -> int:
     spec = load_spec(args.specfile)
     _optimize.check_marginal_budget(spec.m, spec.q)
     snrs = _parse_snr_range(args.snr_db)
-    if args.with_ba:  # the highest SNR has the most quadrature nodes
-        top = noise_power_for_snr_db(spec.constellation, snrs[-1])
-        _optimize.check_capacity_budget(replace(spec, noise_power=top))
+    if args.with_ba:  # each point's capacity, before any point's work
+        for snr in snrs:
+            noise = noise_power_for_snr_db(spec.constellation, snr)
+            _optimize.check_capacity_budget(replace(spec, noise_power=noise))
     assignments = _sweep_assignments(spec)
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:

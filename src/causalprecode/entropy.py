@@ -2,7 +2,7 @@
 
 Given an associated symbol t = (i_1, ..., i_Q), the channel output density is
 the Gaussian mixture sum_j r_j phi(y - x_{i_j} - s_j; P_N). This module
-evaluates that likelihood, the output density induced by per-state marginals,
+computes the entropy h(Y) of the output induced by per-state marginals,
 the tensor of conditional differential entropies h_{i_1...i_Q}, and
 I(T;Y) = h(Y) - sum_t p(t) h_t. `cost_tensor` is the only function that
 evaluates h_t, always for every symbol; `mutual_information` and the
@@ -12,9 +12,10 @@ Mixture entropies go through one kernel, `_mixture_entropies`: each
 mixture is split where neighbouring means lie more than 20 sigma apart, and
 h = sum_c W_c h_c + H(W) over its clusters. A cluster's h_c is closed form
 for a single Gaussian, and otherwise an integral computed once per distinct
-cluster shape, so the cost does not grow with SNR. The default grid
-(`quadrature_grid`) and its component table r_j phi(y - x_i - s_j) serve the
-library densities and the capacity solver, not the entropies.
+cluster shape, so the cost does not grow with SNR. The capacity solver's
+output grid, `_output_grid`, is cut the same way: the MQ output means split
+into clusters, each on its own panels in sigma units. No function takes a
+grid.
 
 All internal entropies are in nats; conversion to bits happens only at API
 boundaries.
@@ -44,8 +45,8 @@ _WINDOW_SIGMAS = 10.0
 # mixture into clusters whose windows do not overlap (overlap below e^-50).
 _SPLIT_SIGMAS = 2 * _WINDOW_SIGMAS
 
-# Every grid, default or cluster, is made of panels of at most this many
-# noise sigmas, each with a Gauss-Legendre rule of this many nodes.
+# Every grid is made of panels this many noise sigmas wide, each with a
+# Gauss-Legendre rule of this many nodes.
 _PANEL_SIGMAS = 0.5
 _NODES_PER_PANEL = 32
 
@@ -70,22 +71,6 @@ def gaussian_entropy(variance: float) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e * variance)
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Composite Gauss-Legendre grid: `panels` equal panels over [lo, hi]."""
-
-    lo: float
-    hi: float
-    panels: int
-    nodes_per_panel: int = _NODES_PER_PANEL
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError("grid needs lo < hi")
-        if self.panels < 1 or self.nodes_per_panel < 1:
-            raise ValueError("grid needs panels >= 1 and nodes_per_panel >= 1")
-
-
 @functools.lru_cache(maxsize=4)
 def _reference_rule(nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1] (0.7 ms to compute for 32)."""
@@ -95,92 +80,16 @@ def _reference_rule(nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-@functools.lru_cache(maxsize=64)
-def _grid_nodes(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (nodes, weights) arrays for a composite grid, fixed panel order."""
-    ref_x, ref_w = _reference_rule(grid.nodes_per_panel)
-    edges = np.linspace(grid.lo, grid.hi, grid.panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * ref_x[None, :]).reshape(-1)
-    weights = (half[:, None] * ref_w[None, :]).reshape(-1)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-def _panels(width):
-    """Panels of at most _PANEL_SIGMAS across windows `width` sigmas wide, as
-    whole floats: an int64 count overflows beyond 2^63 panels (binary above
-    about 361 dB), and a node count 32 times sooner, so callers take `int()`
-    (unbounded) where they need an integer."""
-    return np.maximum(1.0, np.ceil(np.divide(width, _PANEL_SIGMAS)))
-
-
-def _window(spec: ChannelSpec) -> tuple[float, float]:
-    """The extreme means of a spec widened by _WINDOW_SIGMAS noise sigmas."""
-    pad = _WINDOW_SIGMAS * _sigma(spec)
-    lo = min(spec.constellation) + min(spec.interference_levels) - pad
-    hi = max(spec.constellation) + max(spec.interference_levels) + pad
-    return lo, hi
-
-
-def quadrature_grid(spec: ChannelSpec) -> QuadratureGrid:
-    """Default grid for a spec: panels of width sigma/2 from the extreme means
-    widened by 10 noise sigmas."""
-    lo, hi = _window(spec)
-    return QuadratureGrid(lo, hi, int(_panels((hi - lo) / _sigma(spec))))
+def _panels(width: np.ndarray) -> np.ndarray:
+    """Panels of _PANEL_SIGMAS covering windows `width` sigmas wide. A
+    cluster is at most _SPLIT_SIGMAS a mean wide, so the count fits an int."""
+    return np.ceil(np.divide(width, _PANEL_SIGMAS)).astype(int)
 
 
 def _sigma(spec: ChannelSpec) -> float:
     if spec.noise_power <= 0.0:
         raise ValueError("degenerate noise; use the noisefree module")
     return math.sqrt(spec.noise_power)
-
-
-def _check_symbol(t: AssociatedSymbol, spec: ChannelSpec) -> tuple[int, ...]:
-    t = tuple(int(i) for i in t)
-    if len(t) != spec.q:
-        raise ValueError(f"symbol has {len(t)} components, expected {spec.q}")
-    if any(not 1 <= i <= spec.m for i in t):
-        raise ValueError(f"symbol indices {t} out of range 1..{spec.m}")
-    return t
-
-
-def _components(spec: ChannelSpec, y) -> np.ndarray:
-    """Component table g[..., i, j] = r_j phi(y - x_i - s_j; P_N), shape y.shape + (M, Q).
-
-    Every noisy-channel density in the package is a sum over this table.
-    """
-    sigma = _sigma(spec)
-    x = np.asarray(spec.constellation)
-    s = np.asarray(spec.interference_levels)
-    r = np.asarray(spec.interference_probs)
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-    z = (np.asarray(y, dtype=float)[..., None, None] - (x[:, None] + s[None, :])) / sigma
-    g = np.exp(-0.5 * z * z, out=z)  # reuses z: the table can be large
-    g *= norm
-    g *= r
-    return g
-
-
-def mixture_pdf(t: AssociatedSymbol, y, spec: ChannelSpec):
-    """Likelihood of output y given associated symbol t.
-
-    `y` may be a scalar or ndarray; returns the same shape.
-    """
-    t = _check_symbol(t, spec)
-    dens = _components(spec, y)[..., np.array(t) - 1, np.arange(spec.q)].sum(axis=-1)
-    return dens if dens.shape else float(dens)
-
-
-def output_pdf(marginals: MarginalSet, y, spec: ChannelSpec):
-    """Output density sum_q r_q sum_i marginals[q][i] phi(y - x_i - s_q)."""
-    if marginals.m != spec.m or marginals.q != spec.q:
-        raise ValueError("marginal shape does not match the channel spec")
-    g = _components(spec, y)
-    dens = g.reshape(g.shape[:-2] + (-1,)) @ marginals.per_state.T.reshape(-1)
-    return dens if dens.shape else float(dens)
 
 
 def _entropy_from_samples(p: np.ndarray, weights: np.ndarray) -> np.ndarray | float:
@@ -196,23 +105,6 @@ def _entropy_from_samples(p: np.ndarray, weights: np.ndarray) -> np.ndarray | fl
     if not np.all(np.isfinite(h)):
         raise ValueError("pdf produced non-finite values on the grid")
     return h
-
-
-def integrate(pdf, grid: QuadratureGrid) -> float:
-    """Plain integral of `pdf` over the grid (normalization checks)."""
-    nodes, weights = _grid_nodes(grid)
-    p = np.asarray(pdf(nodes), dtype=float)
-    return float(np.dot(weights, p))
-
-
-def differential_entropy(pdf, grid: QuadratureGrid) -> float:
-    """Composite Gauss-Legendre estimate of -integral p ln p, in nats.
-
-    `pdf` must accept an ndarray of evaluation points and be nonnegative.
-    """
-    nodes, weights = _grid_nodes(grid)
-    p = np.asarray(pdf(nodes), dtype=float)
-    return float(_entropy_from_samples(p, weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,8 +274,7 @@ def _cluster_split(means: np.ndarray, weights: np.ndarray, sigma: float) -> _Clu
     shape = np.full(starts.size, -1)
     shape[spread] = inverse
     offsets, shares = distinct[:, :width], distinct[:, width:]
-    # At most 20 sigmas a component wide, so the int cast cannot overflow.
-    panels = _panels(offsets.max(axis=1) + 2 * _WINDOW_SIGMAS).astype(int)
+    panels = _panels(offsets.max(axis=1) + 2 * _WINDOW_SIGMAS)
     return _ClusterSplit(sigma, row[starts], mass, shape, offsets, shares, panels)
 
 
@@ -399,6 +290,43 @@ def _mixture_entropies(means: np.ndarray, weights: np.ndarray, sigma: float) -> 
     distinct (offsets, weights) key however many mixtures share it.
     """
     return _cluster_split(means, weights, sigma).entropies()
+
+
+def _output_clusters(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The MQ output means x_i + s_j (letter-major), every one of them, cut
+    into clusters as `_cluster_split` cuts a mixture. Returns the means, each
+    cluster's lowest mean, and its panels of _PANEL_SIGMAS from
+    _WINDOW_SIGMAS below that mean to _WINDOW_SIGMAS beyond its highest."""
+    sigma = _sigma(spec)
+    means = np.add.outer(spec.constellation, spec.interference_levels).reshape(-1)
+    ordered = np.sort(means)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = np.diff(ordered) > _SPLIT_SIGMAS * sigma
+    lowest = ordered[first]
+    highest = ordered[np.append(first[1:], True)]
+    return means, lowest, _panels((highest - lowest) / sigma + 2 * _WINDOW_SIGMAS)
+
+
+def _output_grid(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The output grid of the capacity solver: the panels of
+    `_output_clusters`, each with the Gauss-Legendre rule, in sigma units.
+
+    Returns every node's position in sigmas from its cluster's lowest mean,
+    its weight, its cluster, and the (cluster, MQ) offsets in sigmas of
+    every mean from each cluster's lowest. A node never sits at its absolute
+    position, lowest mean + sigma * position: at high SNR that sum rounds
+    sigma away.
+    """
+    means, lowest, panels = _output_clusters(spec)
+    ref_x, ref_w = _reference_rule(_NODES_PER_PANEL)
+    half = 0.5 * _PANEL_SIGMAS
+    cluster = np.repeat(np.arange(panels.size), panels)
+    index = np.arange(cluster.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    centres = -_WINDOW_SIGMAS + half + _PANEL_SIGMAS * index
+    nodes = (centres[:, None] + half * ref_x).reshape(-1)
+    weights = np.tile(half * ref_w, cluster.size)
+    offsets = (means - lowest[:, None]) / _sigma(spec)
+    return nodes, weights, np.repeat(cluster, _NODES_PER_PANEL), offsets
 
 
 def cost_tensor(spec: ChannelSpec) -> CostTensor:
@@ -419,8 +347,7 @@ def cost_tensor(spec: ChannelSpec) -> CostTensor:
 def output_entropy(marginals: MarginalSet, spec: ChannelSpec) -> float:
     """h(Y) in nats for inputs with the given per-state marginals.
 
-    The MQ-component output mixture goes through the cluster split, which
-    never integrates more than the default grid would.
+    The MQ-component output mixture goes through the cluster split.
     """
     if marginals.m != spec.m or marginals.q != spec.q:
         raise ValueError("marginal shape does not match the channel spec")

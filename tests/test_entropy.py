@@ -12,19 +12,26 @@ from causalprecode import (
     MarginalSet,
     assignment_rate,
     cost_tensor,
-    differential_entropy,
     gaussian_entropy,
     marginals_of,
-    mixture_pdf,
     multidim_assignment,
     mutual_information,
     noise_power_for_snr_db,
-    output_pdf,
-    quadrature_grid,
 )
 from causalprecode import cli, entropy
-from causalprecode.entropy import QuadratureGrid, integrate
-from helpers import binary_spec, default_grid_entropies, random_spec, riemann_entropy
+from helpers import (
+    QuadratureGrid,
+    binary_spec,
+    default_grid_entropies,
+    differential_entropy,
+    integrate,
+    mixture_pdf,
+    output_pdf,
+    quadrature_grid,
+    random_spec,
+    riemann_entropy,
+    window,
+)
 
 
 def phi(y, mean, var):
@@ -369,7 +376,7 @@ class TestClusterSplit:
         spec = binary_spec(noise_power)
         marg = MarginalSet(np.array([[1.0, 0.0], [0.25, 0.75]]))
         got = entropy.output_entropy(marg, spec)
-        oracle = riemann_entropy(lambda y: output_pdf(marg, y, spec), *entropy._window(spec))
+        oracle = riemann_entropy(lambda y: output_pdf(marg, y, spec), *window(spec))
         assert got == pytest.approx(oracle, abs=1e-9)
         assert got == pytest.approx(_on_the_default_grid(marg, spec), abs=1e-12)
 
@@ -385,7 +392,7 @@ class TestClusterSplit:
     def test_cost_tensor_and_output_entropy_against_riemann(self, spec, snr_db):
         point = replace(spec, noise_power=noise_power_for_snr_db(spec.constellation, snr_db))
         sigma = math.sqrt(point.noise_power)
-        lo, hi = entropy._window(point)
+        lo, hi = window(point)
         lo, hi = lo - 2 * sigma, hi + 2 * sigma
         costs = cost_tensor(point)
         for t in np.ndindex(costs.values.shape):
@@ -428,9 +435,10 @@ class TestClusterSplit:
                            interference_levels=_pinned(spec.interference_levels))
 
         def unreachable(*args):
-            raise AssertionError("cost_tensor reached the default grid")
+            raise AssertionError("cost_tensor reached the capacity solver's output grid")
 
-        for name in ("_components", "quadrature_grid", "_grid_nodes"):
+        # the package's one node grid is the capacity solver's
+        for name in ("_output_clusters", "_output_grid"):
             monkeypatch.setattr(entropy, name, unreachable)
         costs = cost_tensor(spec)
         assert costs.values.shape == (m,) * q

@@ -27,6 +27,7 @@ from causalprecode.optimize import (
     _pivot,
 )
 from helpers import (
+    CHAIN_128X2,
     binary_spec,
     blahut_arimoto,
     dense_blahut_arimoto,
@@ -399,6 +400,33 @@ class TestCapacity:
         assert np.allclose(p_y_after, p_y, rtol=1e-12, atol=0.0)
         assert p_after @ div_after[support_after] >= p_s @ div[support] - 1e-15
 
+    def test_upper_bound_holds_where_p_y_underflows(self):
+        # Binary at 40 dB with support {(1,1)}: p_Y has means -2 and 0, so at
+        # the nodes around +2 it is e^-20000, below the smallest float. The
+        # symbols with a mean at +2 diverge from p_Y by about 10^4 nats.
+        spec = binary_spec(noise_power=1e-4)
+        sigma = 0.01
+        channel = _AssociatedChannel(spec, cost_tensor(spec))
+        p_y, div = channel.prices(np.asarray([0]), np.asarray([1.0]))
+        assert (p_y == 0.0).any()
+        lo, hi, n = -2.0 - 12 * sigma, 2.0 + 12 * sigma, 800_000
+        step = (hi - lo) / n
+        y = lo + step * (np.arange(n) + 0.5)
+
+        def log_density(means):
+            z = (y[:, None] - np.asarray(means)) / sigma
+            log_phi = -0.5 * z * z - math.log(sigma * math.sqrt(2 * math.pi))
+            return np.logaddexp.reduce(log_phi + math.log(0.5), axis=1)
+
+        log_p_y = log_density([-2.0, 0.0])
+        exact = []
+        for i, j in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+            log_f = log_density([spec.constellation[i - 1] - 1.0, spec.constellation[j - 1] + 1.0])
+            exact.append(float(np.sum(np.exp(log_f) * (log_f - log_p_y))) * step)
+        assert max(exact) > 9e3
+        assert div.max() >= max(exact) - 1e-9
+        assert div == pytest.approx(exact, rel=1e-9, abs=1e-6)
+
     def test_nonconvergence_flagged(self):
         spec = binary_spec()
         costs = cost_tensor(spec)
@@ -412,9 +440,8 @@ class TestCapacity:
                 capacity(spec, costs, tol=tol)
 
     def test_budget_checked_before_any_work(self):
-        spec = binary_spec(noise_power=1e-12)
         with pytest.raises(BudgetExceededError, match="nodes x MQ"):
-            capacity(spec, cost_tensor(spec))
+            capacity(CHAIN_128X2, cost_tensor(CHAIN_128X2))
 
     def test_memory_does_not_grow_with_symbols_times_nodes(self):
         spec = ChannelSpec(PAM8, PAM4, (0.25,) * 4, 0.05)
