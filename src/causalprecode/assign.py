@@ -258,13 +258,16 @@ def check_budget(m: int, q: int) -> None:
         )
 
 
-def multidim_assignment(costs: CostTensor) -> Assignment:
+def multidim_assignment(
+    costs: CostTensor, lp: _optimize.LpSolution | None = None
+) -> Assignment:
     """Exact minimum-cost axial assignment of a (M,)*Q cost tensor, any Q.
 
-    Duals u come from one Hungarian for Q = 2, else from the uniform LP,
-    whose vertex, if an assignment, is the candidate optimum. Any assignment
-    A totals sum(u) + sum over A of rc_t = h_t - sum_j u[t_j, j], so one
-    totalling at most T uses only tuples with
+    Duals u come from one Hungarian for Q = 2, else from the uniform LP
+    (`lp`, if the caller has solved it on `costs`), whose vertex, if an
+    assignment, is the candidate optimum. Any assignment A totals
+    sum(u) + sum over A of rc_t = h_t - sum_j u[t_j, j], so one totalling at
+    most T uses only tuples with
     rc_t <= T - sum(u) - (M - 1) min(0, min rc), up to a round-off margin.
     The candidate is optimal if its total is at most
     sum(u) + M min(0, min rc) (plus the margin); else a branch and bound over
@@ -287,7 +290,8 @@ def multidim_assignment(costs: CostTensor) -> Assignment:
         _, col, duals = _hungarian(values)
         witness = [(j,) for j in col]
     else:
-        lp = _optimize.solve_marginal_lp(costs, MarginalSet.uniform(n, q))
+        if lp is None:
+            lp = _optimize.solve_marginal_lp(costs, MarginalSet.uniform(n, q))
         duals, witness = lp.duals, _vertex_assignment(lp.pmf.probs, n, q)
     reduced = _optimize._minus_marginal_sums(values.copy(), duals).reshape(values.shape)
     dual_sum = math.fsum(duals.ravel().tolist())

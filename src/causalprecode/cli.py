@@ -134,7 +134,7 @@ def sweep_point(
     # share one h(Y) and each rate is h(Y) minus its mean cost.
     h_y = _entropy.output_entropy(MarginalSet.uniform(point.m, point.q), point)
     if assignments is None:
-        tuples = _assign.multidim_assignment(costs).tuples
+        tuples = _assign.multidim_assignment(costs, lp).tuples
         assignments = {assignment_id(tuples): tuples}
     rates = {
         aid: (h_y - math.fsum(costs.entry(t) for t in tuples) / point.m) / LN2
@@ -290,9 +290,9 @@ def _cmd_sweep(args) -> int:
     spec = load_spec(args.specfile)
     _optimize.check_marginal_budget(spec.m, spec.q)
     snrs = _parse_snr_range(args.snr_db)
-    if args.with_ba:  # each point's capacity, before any point's work
-        for snr in snrs:
-            noise = noise_power_for_snr_db(spec.constellation, snr)
+    for snr in snrs:  # each point's noise power and capacity, before any point's work
+        noise = noise_power_for_snr_db(spec.constellation, snr)
+        if args.with_ba:
             _optimize.check_capacity_budget(replace(spec, noise_power=noise))
     assignments = _sweep_assignments(spec)
     if args.workers > 1:

@@ -122,8 +122,18 @@ def snr_db_of(spec: ChannelSpec) -> float:
 
 
 def noise_power_for_snr_db(constellation, snr_db: float) -> float:
-    """Noise power that puts the given constellation at `snr_db` dB."""
-    return average_power(constellation) / (10.0 ** (snr_db / 10.0))
+    """Noise power that puts the given constellation at `snr_db` dB.
+
+    Raises ValueError where no positive finite double is that power, as
+    when the ratio 10^(snr_db / 10) overflows or underflows to 0.
+    """
+    try:
+        noise = average_power(constellation) / (10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        noise = math.nan
+    if not 0.0 < noise < math.inf:
+        raise ValueError(f"no positive finite noise power gives SNR {snr_db:g} dB")
+    return noise
 
 
 def enumerate_symbols(spec: ChannelSpec) -> list[AssociatedSymbol]:

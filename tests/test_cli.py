@@ -8,6 +8,7 @@ import pytest
 from causalprecode import (
     BudgetExceededError,
     ChannelSpec,
+    assign,
     cli,
     entropy,
     format_spec_text,
@@ -405,6 +406,44 @@ class TestSweepCommand:
         path = binary_spec_file()
         assert run(["sweep", path, f"--snr-db={snr_db}"]) == EXIT_BAD_INPUT
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr_db", ["0:4000:4000", "-4000:-3990:10"])
+    def test_snr_beyond_the_range_of_a_double_is_bad_input(
+        self, binary_spec_file, snr_db, monkeypatch, capsys
+    ):
+        # 10^(SNR/10) overflows at 4000 dB and underflows to 0 at -4000 dB:
+        # no noise power exists, and the sweep says so before any point.
+        path = binary_spec_file()
+
+        def no_work(*args):
+            raise AssertionError("sweep point computed before the noise powers")
+
+        monkeypatch.setattr(cli, "sweep_point", no_work)
+        assert run(["sweep", path, f"--snr-db={snr_db}"]) == EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: no positive finite noise power gives SNR")
+        assert err.count("\n") == 1
+
+    def test_one_lp_per_point_for_q_other_than_2(self, tmp_path, monkeypatch, capsys):
+        # The assignment reads the duals and vertex of the point's uniform LP
+        # instead of solving it again, and the CSV is the same as when it did.
+        path = tmp_path / "rand6x3.spec"
+        path.write_text(format_spec_text(random_spec(np.random.default_rng(0), 6, 3, 0.05)))
+        argv = ["sweep", str(path), "--snr-db=0:20:5"]
+        calls = []
+        solve = optimize.solve_marginal_lp
+        monkeypatch.setattr(
+            optimize, "solve_marginal_lp", lambda *args: calls.append(1) or solve(*args)
+        )
+        assert run(argv) == EXIT_OK
+        once = capsys.readouterr().out
+        assert len(calls) == 5
+        assignment = assign.multidim_assignment
+        monkeypatch.setattr(assign, "multidim_assignment", lambda costs, lp: assignment(costs))
+        assert run(argv) == EXIT_OK
+        assert len(calls) == 5 + 10
+        assert capsys.readouterr().out == once
 
     def test_range_beyond_the_point_budget_fails_before_any_work(
         self, binary_spec_file, monkeypatch, capsys

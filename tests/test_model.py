@@ -224,3 +224,11 @@ def test_average_power_and_snr():
     spec = binary_spec(noise_power=0.1)
     assert abs(snr_db_of(spec) - 10.0) < 1e-12
     assert abs(noise_power_for_snr_db((-1.0, 1.0), 20.0) - 0.01) < 1e-15
+    # 10^(SNR/10) overflows above about 3,082 dB and underflows to 0 below
+    # about -3,237 dB; a subnormal noise power is still a power
+    assert noise_power_for_snr_db((-1.0, 1.0), 3080.0) == 1.0 / 10.0**308
+    for snr_db in (4000.0, -4000.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="noise power"):
+            noise_power_for_snr_db((-1.0, 1.0), snr_db)
+    with pytest.raises(ValueError, match="noise power"):
+        noise_power_for_snr_db((-1e300, 1e300), -30.0)

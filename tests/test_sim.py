@@ -79,6 +79,15 @@ class TestErrorRates:
         slack = 3.0 * math.sqrt(max(loud.ser * (1 - loud.ser), 1e-12) / loud.trials)
         assert quiet.ser <= loud.ser + slack
 
+    @pytest.mark.parametrize("noise_power", [0.1, 0.5, 1.0])
+    def test_antipodal_ser_matches_the_gaussian_tail(self, noise_power):
+        # X = {-1, +1} with no interference errs when the noise crosses 0,
+        # with probability Q(1 / sigma): this checks the noise distribution.
+        spec = ChannelSpec((-1.0, 1.0), (0.0,), (1.0,), noise_power)
+        report = simulate(PrecoderCode(((1,), (2,))), spec, trials=200_000, seed=13)
+        p = 0.5 * math.erfc(1.0 / math.sqrt(2.0 * noise_power))
+        assert abs(report.ser - p) <= 4.0 * math.sqrt(p * (1.0 - p) / report.trials)
+
 
 class TestMiEstimate:
     def test_matches_quadrature_at_10db(self):

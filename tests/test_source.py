@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 SRC = Path(__file__).resolve().parents[1] / "src" / "causalprecode"
 
 
@@ -41,13 +39,24 @@ def test_no_function_takes_a_grid():
     assert found == [], f"functions with a grid parameter: {found}"
 
 
-@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special"])
-def test_cli_import_does_not_load_scipy_optimize(module):
-    # Importing either module costs 0.2-0.35 s, about half of a CLI call's
-    # set-up: the LP runs its own simplex, and sim imports scipy.special only
-    # when it simulates, so that no other CLI path pays for them.
+def test_no_cli_command_loads_scipy(tmp_path):
+    # The package needs numpy alone: the LP runs its own simplex and sim draws
+    # its noise by Box-Muller. Importing scipy would cost 0.2-0.35 s, about
+    # half of a CLI call's set-up.
+    spec = tmp_path / "binary.spec"
+    spec.write_text("constellation = -1 1\ninterference_levels = -1 1\n"
+                    "interference_probs = 0.5 0.5\nnoise_power = 0.1\n")
+    code = tmp_path / "code.txt"
+    calls = [["assign", str(spec), "--out", str(code)],
+             ["simulate", str(spec), "--code", str(code), "--trials", "1000", "--workers", "2"],
+             ["uniform", str(spec)], ["capacity", str(spec)], ["noisefree", str(spec)],
+             ["sweep", str(spec), "--snr-db=0:10:10", "--with-ba"]]
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    probe = f"import sys, causalprecode.cli; print({module!r} in sys.modules)"
+    probe = (
+        "import sys; from causalprecode import cli\n"
+        f"codes = [cli.run(argv) for argv in {calls!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": path},
@@ -56,4 +65,4 @@ def test_cli_import_does_not_load_scipy_optimize(module):
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
