@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "causalprecode"
 
 
@@ -37,6 +39,24 @@ def test_no_function_takes_a_grid():
         if arg is not None and arg.arg == "grid"
     ]
     assert found == [], f"functions with a grid parameter: {found}"
+
+
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special"])
+def test_cli_import_does_not_load_scipy_optimize(module):
+    # Importing either module costs 0.2-0.35 s, about half of a CLI call's
+    # set-up: the LP runs its own simplex and sim draws its noise by
+    # Box-Muller, so importing the CLI must pull in neither.
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    probe = f"import sys, causalprecode.cli; print({module!r} in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_no_cli_command_loads_scipy(tmp_path):
