@@ -276,6 +276,10 @@ _DENSITY_FLOOR = 1e-300
 # Below the smallest normal float, p_Y = g u has underflowed, and prices take
 # its log by log-sum-exp instead.
 _NORMAL_MIN = np.finfo(float).tiny
+# Offsets are clamped to this many sigmas. A node lies within its cluster, far
+# nearer than this, so the clamp changes only components with exp(-z^2/2)
+# exactly 0 either way, and keeps z^2 and every ln g finite.
+_FAR_SIGMAS = 1e150
 
 
 class _AssociatedChannel:
@@ -292,7 +296,8 @@ class _AssociatedChannel:
     def __init__(self, spec: ChannelSpec, costs: CostTensor) -> None:
         self.m, self.q = spec.m, spec.q
         sigma = _entropy._sigma(spec)
-        self.nodes, self.weights, self.cluster, self.offsets = _entropy._output_grid(spec)
+        self.nodes, self.weights, self.cluster, offsets = _entropy._output_grid(spec)
+        self.offsets = np.clip(offsets, -_FAR_SIGMAS, _FAR_SIGMAS)
         self.log_r = np.log(np.tile(spec.interference_probs, self.m)) - 0.5 * math.log(2 * math.pi)
         self.g = self._log_components(slice(None))
         np.exp(self.g, out=self.g)  # in place: the table can be large

@@ -24,6 +24,7 @@ from causalprecode import (
     cost_tensor,
 )
 from causalprecode import entropy as _entropy
+from causalprecode import sim as _sim
 from causalprecode.model import SUPPORT_THRESHOLD, AssociatedSymbol
 
 
@@ -375,4 +376,48 @@ def blahut_arimoto(
         converged=converged,
         iterations=iterations,
         lower_bounds=tuple(bounds),
+    )
+
+
+def allocating_decode_block(
+    y: np.ndarray, means: np.ndarray, spec: ChannelSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """`sim._decode_block` as it was before workspaces: every array fresh,
+    np.argmax for the decision. (decisions, posterior entropies in nats)."""
+    slope = means / spec.noise_power
+    offset = np.log(np.asarray(spec.interference_probs)) - 0.5 * means * slope
+    e = np.multiply.outer(slope.reshape(-1), y)
+    e += offset.reshape(-1, 1)
+    e -= e.max(axis=0)
+    lik = np.exp(e, out=e).reshape(means.shape + (len(y),)).sum(axis=1)
+    total = lik.sum(axis=0)
+    lik_ln_lik = np.log(lik, out=np.zeros_like(lik), where=lik > 0.0)
+    lik_ln_lik *= lik
+    return np.argmax(lik, axis=0), np.log(total) - lik_ln_lik.sum(axis=0) / total
+
+
+def allocating_simulate(code: PrecoderCode, spec: ChannelSpec, trials: int, seed: int):
+    """`sim.simulate` as it was before workspaces, serially: each batch of
+    `sim._BATCH` trials draws, searches and decodes into fresh arrays."""
+    means = _sim._check_inputs(code, spec)
+    m = means.shape[0]
+    cum_r = np.cumsum(np.asarray(spec.interference_probs))
+    errors, nats = 0, []
+    for start in range(0, trials, _sim._BATCH):
+        bits = np.random.Philox(key=seed)
+        bits.advance(start)
+        u = np.random.Generator(bits).random((min(_sim._BATCH, trials - start), 4))
+        messages = np.minimum((u[:, 0] * m).astype(np.int64), m - 1)
+        states = np.minimum(np.searchsorted(cum_r, u[:, 1], side="right"), spec.q - 1)
+        radius = np.sqrt(-2.0 * spec.noise_power * np.log1p(-u[:, 2]))
+        y = means[messages, states] + radius * np.cos(math.pi * u[:, 3])
+        decoded, entropies = allocating_decode_block(y, means, spec)
+        errors += int(np.count_nonzero(decoded != messages))
+        nats.append(float(entropies.sum()))
+    return _sim.SimReport(
+        trials=trials,
+        symbol_errors=errors,
+        ser=errors / trials,
+        empirical_mi_bits=math.log2(code.m) - math.fsum(nats) / trials / math.log(2.0),
+        seed=seed,
     )

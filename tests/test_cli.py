@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +428,23 @@ class TestSweepCommand:
         assert out == ""
         assert err.startswith("error: no positive finite noise power gives SNR")
         assert err.count("\n") == 1
+
+    def test_snr_just_inside_the_range_of_a_double_warns_nothing(self, binary_spec_file):
+        # 3,080 dB is P_N = 1e-308: the means lie 2e154 sigma apart, whose
+        # square overflows unless the capacity solver clamps the offsets.
+        src = Path(cli.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "causalprecode.cli", "sweep", binary_spec_file(),
+             "--snr-db=3080:3080:1", "--with-ba"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == EXIT_OK
+        assert out.stdout.splitlines()[-1] == "3080,1,1,1-2;2-1,0.5,1"
+        assert out.stderr == ""
 
     def test_one_lp_per_point_for_q_other_than_2(self, tmp_path, monkeypatch, capsys):
         # The assignment reads the duals and vertex of the point's uniform LP

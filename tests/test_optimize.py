@@ -427,6 +427,19 @@ class TestCapacity:
         assert div.max() >= max(exact) - 1e-9
         assert div == pytest.approx(exact, rel=1e-9, abs=1e-6)
 
+    def test_far_components_keep_every_log_finite(self):
+        # Binary at 3,080 dB (P_N = 1e-308): means 2 apart lie 2e154 sigma
+        # apart, so z^2 would overflow. With support {(1,1)}, p_Y underflows
+        # around +2, and the log-sum-exp there needs finite terms.
+        spec = binary_spec(noise_power=1e-308)
+        with np.errstate(over="raise", invalid="raise"):
+            channel = _AssociatedChannel(spec, cost_tensor(spec))
+            assert np.isfinite(channel._log_components(slice(None))).all()
+            p_y, div = channel.prices(np.asarray([0]), np.asarray([1.0]))
+        assert (p_y == 0.0).any()
+        assert np.isfinite(div).all()
+        assert div.max() > 1e290  # symbols with a mean at +2: p_Y is e^-(10^300) there
+
     def test_nonconvergence_flagged(self):
         spec = binary_spec()
         costs = cost_tensor(spec)

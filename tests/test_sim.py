@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from causalprecode import (
 )
 from causalprecode import sim
 from causalprecode.sim import CSV_HEADER, csv_row
-from helpers import binary_spec, random_code, random_spec
+from helpers import allocating_simulate, binary_spec, random_code, random_spec
 
 ZERO_ERROR_CODE = PrecoderCode(((1, 2), (2, 1)))
 
@@ -49,9 +50,10 @@ class TestReproducibility:
         spec = binary_spec(noise_power=1.0)
         means = sim._check_inputs(ZERO_ERROR_CODE, spec)
         for a, b in [(1, 1), (37, 1013), (4099, 313)]:
-            errors, nats = sim._run_batch(9, 0, a + b, means, spec)
-            head = sim._run_batch(9, 0, a, means, spec)
-            tail = sim._run_batch(9, a, b, means, spec)
+            ws = sim._Workspace(means, spec, a + b)
+            errors, nats = sim._run_batch(9, 0, a + b, ws)
+            head = sim._run_batch(9, 0, a, ws)
+            tail = sim._run_batch(9, a, b, ws)
             assert errors == head[0] + tail[0]
             assert math.isclose(nats, head[1] + tail[1], rel_tol=0.0, abs_tol=1e-9)
         default = simulate(ZERO_ERROR_CODE, spec, trials=3_001, seed=9)
@@ -61,6 +63,81 @@ class TestReproducibility:
         assert small.symbol_errors == default.symbol_errors
         assert math.isclose(small.empirical_mi_bits, default.empirical_mi_bits,
                             rel_tol=0.0, abs_tol=1e-12)
+
+
+def workspace_cases():
+    rng = np.random.default_rng(43)
+    yield pytest.param(ChannelSpec((-1.0, 1.0), (0.0,), (1.0,), 0.5), PrecoderCode(((1,), (2,))),
+                       2 * sim._BATCH + 123, id="q1 no cut points")
+    yield pytest.param(random_spec(rng, 4, 4, 0.05), random_code(rng, 4, 4),
+                       3 * sim._BATCH + 17, id="random 4/4")
+    # means {-2, 0} and {0, 2} at sigma 0.1: near y = 0 both L_m are exactly 1
+    yield pytest.param(binary_spec(noise_power=0.01), PrecoderCode(((1, 1), (2, 2))),
+                       2 * sim._BATCH + 5, id="exact ties")
+    # a last batch of one trial, on eight messages
+    yield pytest.param(random_spec(rng, 8, 2, 0.05), random_code(rng, 8, 2),
+                       sim._BATCH + 1, id="random 8/2 one-trial batch")
+
+
+class TestWorkspaceKernel:
+    @pytest.mark.parametrize("spec,code,trials", workspace_cases())
+    def test_reports_match_the_allocating_kernel(self, spec, code, trials):
+        reference = allocating_simulate(code, spec, trials, seed=31)
+        assert reference.symbol_errors > 0
+        for workers in (1, 2, 3, 8):
+            assert simulate(code, spec, trials, seed=31, workers=workers) == reference
+
+    def test_overflowed_exponents_decide_as_np_argmax(self):
+        # At P_N = 1.5e-308, y mu/P_N overflows for the means at +-2: their
+        # messages' L is NaN, and np.argmax decides for the first NaN.
+        spec = binary_spec(noise_power=1.5e-308)
+        for code in (((1, 1), (2, 2)), ((2, 2), (1, 1))):
+            with np.errstate(all="ignore"):
+                report = simulate(PrecoderCode(code), spec, 4_000, seed=5, workers=2)
+                reference = allocating_simulate(PrecoderCode(code), spec, 4_000, seed=5)
+            assert report.symbol_errors == reference.symbol_errors
+            assert math.isnan(report.empirical_mi_bits) and math.isnan(reference.empirical_mi_bits)
+
+    def test_a_warm_batch_allocates_no_arrays(self):
+        rng = np.random.default_rng(3)
+        spec = random_spec(rng, 4, 3, 0.05)
+        ws = sim._Workspace(sim._check_inputs(random_code(rng, 4, 3), spec), spec, sim._BATCH)
+        sim._run_batch(1, 0, sim._BATCH, ws)
+        tracemalloc.start()
+        try:
+            sim._run_batch(1, sim._BATCH, sim._BATCH, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below one float64 vector of a batch; the allocating kernel peaks at 4.6 MB
+        assert peak < 8 * sim._BATCH
+
+    def test_one_thread_per_batch_at_most(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordingPool)
+        spec = binary_spec()
+        # one batch, or fewer than one worker, runs in the caller; three
+        # batches take three of eight workers; five batches share three
+        cases = [(sim._BATCH, 8), (2 * sim._BATCH + 1, 0), (2 * sim._BATCH + 1, 8),
+                 (5 * sim._BATCH, 3)]
+        for trials, workers in cases:
+            serial = simulate(ZERO_ERROR_CODE, spec, trials, seed=2)
+            assert simulate(ZERO_ERROR_CODE, spec, trials, seed=2, workers=workers) == serial
+        assert sizes == [3, 3]
 
 
 class TestErrorRates:
@@ -174,7 +251,7 @@ def test_decode_block_matches_log_domain_reference(spec, code):
         (mids[:, None] + step[:, None] * np.linspace(-6.0, 6.0, 13)).reshape(-1),
         rng.uniform(flat[0] - 1.0, flat[-1] + 1.0, 500),
     ])
-    decisions, entropies = sim._decode_block(y, means, spec)
+    decisions, entropies = sim._decode_block(y, sim._Workspace(means, spec, len(y)))
     ref_decisions, gap, ref_entropies = reference_decode(y, means, spec)
     clear = gap > 1e-9
     assert np.array_equal(decisions[clear], ref_decisions[clear])
