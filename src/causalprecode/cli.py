@@ -205,15 +205,15 @@ def _cmd_capacity(args) -> int:
     _optimize.check_capacity_budget(spec)
     costs = _entropy.cost_tensor(spec)
     result = _optimize.capacity(spec, costs=costs, tol=args.tol, max_iter=args.max_iter)
-    reduced = _optimize.support_reduce(result.pmf, costs)
-    reduced_mi = _entropy.mutual_information(reduced.pmf, spec, costs=costs)
+    pmf = result.pmf  # its support is within the bound: `capacity` checks it
     print(f"capacity_bits (discretized channel): {_fmt(result.capacity_bits)}")
     print(f"iterations: {result.iterations}  converged: {result.converged}")
-    print(f"support-reduced pmf ({len(reduced.pmf.support())} symbols, "
+    print(f"support-reduced pmf ({len(pmf.support())} symbols, "
           f"bound {spec.m * spec.q - spec.q + 1}):")
-    for t in reduced.pmf.support():
-        print(f"  ({_symbol_str(t)})  p={_fmt(reduced.pmf.prob(t))}")
-    print(f"support-reduced mutual information bits: {_fmt(reduced_mi)}")
+    for t in pmf.support():
+        print(f"  ({_symbol_str(t)})  p={_fmt(pmf.prob(t))}")
+    print("support-reduced mutual information bits: "
+          f"{_fmt(_entropy.mutual_information(pmf, spec, costs=costs))}")
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 

@@ -14,7 +14,9 @@ h = sum_c W_c h_c + H(W) over its clusters. A cluster's h_c is closed form
 for a single Gaussian, and otherwise an integral computed once per distinct
 cluster shape, so the cost does not grow with SNR. The capacity solver's
 output grid, `_output_grid`, is cut the same way: the MQ output means split
-into clusters, each on its own panels in sigma units. No function takes a
+into clusters, each on its own panels in sigma units. Every panel is one
+sigma wide and carries 16 Gauss-Legendre nodes, a rule chosen by a scan
+against 64 nodes per sigma/2 (see _NODES_PER_PANEL). No function takes a
 grid.
 
 All internal entropies are in nats; conversion to bits happens only at API
@@ -46,9 +48,11 @@ _WINDOW_SIGMAS = 10.0
 _SPLIT_SIGMAS = 2 * _WINDOW_SIGMAS
 
 # Every grid is made of panels this many noise sigmas wide, each with a
-# Gauss-Legendre rule of this many nodes.
-_PANEL_SIGMAS = 0.5
-_NODES_PER_PANEL = 32
+# Gauss-Legendre rule of this many nodes. The scan in tests/test_entropy.py
+# finds this rule within 2e-14 nats of 64 nodes per sigma/2, at round-off,
+# and 12 nodes per sigma (or 6 per sigma/2) beyond that bound.
+_PANEL_SIGMAS = 1.0
+_NODES_PER_PANEL = 16
 
 # Entropy of a unit-variance Gaussian, (1/2) ln(2 pi e), in nats.
 _STANDARD_ENTROPY = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -63,6 +67,12 @@ _BLOCK_ELEMENTS = 1 << 16
 # finite, and wherever the cap binds the first factor is exactly 0.
 _EXP_CAP = 700.0
 
+# First factors of `_standard_entropies` with exponents below this are
+# written as 0 by a mask: numpy's exp takes a slow path from about -708 down
+# (15x slower at -1000 on numpy 2.4). The panel then lies over 37.4 sigmas
+# from the component, which adds below 1e-296 to the density at its nodes.
+_EXP_FLOOR = -700.0
+
 
 def gaussian_entropy(variance: float) -> float:
     """Differential entropy of a Gaussian, (1/2) ln(2 pi e variance), in nats."""
@@ -73,7 +83,7 @@ def gaussian_entropy(variance: float) -> float:
 
 @functools.lru_cache(maxsize=4)
 def _reference_rule(nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] (0.7 ms to compute for 32)."""
+    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use."""
     rule = leggauss(nodes_per_panel)
     for a in rule:
         a.flags.writeable = False
@@ -156,11 +166,17 @@ def _standard_entropies(offsets: np.ndarray, shares: np.ndarray, panels: np.ndar
         phi(u - o) ~ exp(-(c_p - o)^2 / 2) exp((o - c_0) r_k) exp(-(c_p - c_0) r_k - r_k^2 / 2),
     so a block takes one exp per panel and component, one per component and
     reference node, and one (panel, node) table shared by all its mixtures;
-    the densities are then one batched matrix product. The middle exponent
-    is capped at _EXP_CAP: a block spans at most 1,024 sigmas, so wherever
-    the cap binds the first factor is exactly 0. Rows go longest first into
-    blocks of whole panels, rows x panels x max(components, nodes) at most
-    _BLOCK_ELEMENTS; a row's panels beyond its own grid are masked out.
+    the densities are then one batched matrix product. First factors with
+    exponents below _EXP_FLOOR are masked to 0, so a component is live only
+    within d = sqrt(-2 _EXP_FLOOR) = 37.4 sigmas of a centre. The middle
+    exponent is capped at _EXP_CAP, which never binds on a live component:
+    a block spans at most min(20 C, _PANEL_SIGMAS _BLOCK_ELEMENTS / max(C,
+    nodes)) sigmas for C components (a cluster's neighbouring means are at
+    most 20 sigmas apart), so a live middle exponent is at most
+    (span + d) * _PANEL_SIGMAS / 2: 588 at C = 57, the worst case of 16
+    nodes per 1-sigma panel. Rows go longest first into blocks of whole
+    panels, rows x panels x max(components, nodes) at most _BLOCK_ELEMENTS;
+    a row's panels beyond its own grid are masked out.
     """
     ref_x, ref_w = _reference_rule(_NODES_PER_PANEL)
     half = 0.5 * _PANEL_SIGMAS
@@ -182,8 +198,12 @@ def _standard_entropies(offsets: np.ndarray, shares: np.ndarray, panels: np.ndar
             first = o - c  # (row, component, panel): long inner loops over panels
             first *= first
             first *= -0.5
+            live = (index < ends)[:, None, :]
+            if first.min() < _EXP_FLOOR:  # only long clusters pay for the mask
+                live = live & (first >= _EXP_FLOOR)
+                np.maximum(first, _EXP_FLOOR, out=first)
             np.exp(first, out=first)
-            first *= (index < ends)[:, None, :]
+            first *= live
             middle = (o - c[0]) * r  # (row, component, node)
             np.minimum(middle, _EXP_CAP, out=middle)
             np.exp(middle, out=middle)

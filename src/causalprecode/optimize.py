@@ -96,7 +96,8 @@ def check_capacity_budget(spec: ChannelSpec) -> None:
     MQ component table on the output grid is.
 
     The nodes are counted from `entropy._output_clusters`, which the grid is
-    built from: at most 40 panels per distinct mean, however small sigma is.
+    built from: at most 20 panels of 16 nodes per distinct mean, however
+    small sigma is.
     """
     check_marginal_budget(spec.m, spec.q)
     nodes = int(_entropy._output_clusters(spec)[2].sum()) * _entropy._NODES_PER_PANEL
@@ -445,6 +446,18 @@ def _pivot(support: np.ndarray, p_s: np.ndarray, d_s: np.ndarray, null: np.ndarr
     return _move(support, p_s, d, hi, hi)
 
 
+def _independent(channel: _AssociatedChannel, support, p_s, div):
+    """Pivot (`_pivot`, with every symbol's D_t in `div`) until the
+    support's distinct-mean images are independent; returns the support and
+    its weights. Each pivot removes a symbol, and independent images number
+    at most MQ - Q + 1."""
+    while True:
+        null = _null_space(channel.image @ _incidence(support, channel.m, channel.q))
+        if not null.size:
+            return support, p_s
+        support, p_s = _pivot(support, p_s, div[support], null)
+
+
 def _enter(channel: _AssociatedChannel, support, p_s, p_y, best: int):
     """Line search along e_best - p, for a symbol `best` off the support."""
     f_best = channel.g[:, _columns(np.asarray([best]), channel.m, channel.q)[0]].sum(axis=1)
@@ -503,7 +516,10 @@ def capacity(
       columns that reach zero leave.
 
     Any p_Y bounds capacity above by max_t D_t, so the result certifies
-    capacity in [capacity_bits, upper_bound_bits]. Raises ValueError if
+    capacity in [capacity_bits, upper_bound_bits]. The returned pmf has
+    independent distinct-mean images (pivots at exit, then one more pricing
+    if any was taken), hence at most MQ - Q + 1 symbols; a larger support
+    raises RuntimeError. Raises ValueError if
     `check_capacity_options` fails or `costs` does not have the spec's M and
     Q, and BudgetExceededError if `check_capacity_budget` fails, all before
     any work.
@@ -517,6 +533,7 @@ def capacity(
     support = np.flatnonzero(start > 0.0)
     p_s = start[support] / start[support].sum()
     converged = False
+    independent = False  # the support's distinct-mean images, known to be
     for iterations in range(1, max_iter + 1):
         p_y, div = channel.prices(support, p_s)
         d_s = div[support]
@@ -529,14 +546,24 @@ def capacity(
             break
         b = _incidence(support, channel.m, channel.q)
         null = _null_space(channel.image @ b)
+        best = int(np.argmax(div))
+        independent = False
         if null.size:
             support, p_s = _pivot(support, p_s, d_s, null)
-            continue
-        best = int(np.argmax(div))
-        if best not in support and upper - info >= info - d_s.min():
+        elif best not in support and upper - info >= info - d_s.min():
             support, p_s = _enter(channel, support, p_s, p_y, best)
-        else:
+        else:  # keeps a subset of the support, whose images are independent
             support, p_s = _newton(channel, support, p_s, p_y, d_s, b)
+            independent = True
+    if not independent:
+        reduced, p_s = _independent(channel, support, p_s, div)
+        if len(reduced) < len(support):  # pivots keep p_Y, so D_t and the certificate
+            support = reduced
+            div = channel.prices(support, p_s)[1]
+            info = float(p_s @ div[support])
+            upper = max(float(div.max()), info)
+    if len(support) > channel.m * channel.q - channel.q + 1:
+        raise RuntimeError(f"the capacity pmf has {len(support)} symbols, beyond MQ - Q + 1")
     probs = np.zeros(channel.h.size)
     probs[support] = p_s
     return CapacityResult(

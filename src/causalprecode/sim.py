@@ -36,6 +36,8 @@ _DRAWS_PER_TRIAL = 4  # one Philox 4x64 block: message, state, two for the noise
 # of per-trial vectors: more than an L1 or L2 cache, but allocated once.
 _BATCH = 1 << 14
 _LEAST_SUBNORMAL = 5e-324  # the least positive float64
+# Box-Muller bounds |noise| by sqrt(-2 ln 2^-53) = 8.57 sigmas (u < 1 - 2^-53).
+_NOISE_SIGMAS_MAX = 8.6
 # Most trials per run: a longer run fails before any work (exit 3). The
 # batch plan at this size is 61k jobs, a few tens of MB.
 _TRIALS_MAX = 10**9
@@ -60,7 +62,18 @@ def _check_inputs(code: PrecoderCode, spec: ChannelSpec) -> np.ndarray:
     x = np.asarray(spec.constellation)
     s = np.asarray(spec.interference_levels)
     idx = np.array(code.symbols) - 1  # (M, Q)
-    return x[idx] + s[None, :]  # per-symbol mixture means
+    means = x[idx] + s[None, :]  # per-symbol mixture means
+    # For |y| up to the largest reachable R, the decoder's exponents
+    # y mu/P_N + ln r_j - mu^2/2P_N and their gaps to each trial's largest are
+    # at most (R + max|mu|)^2 / 2P_N in size: where that or a slope mu/P_N is
+    # not finite, a trial's likelihoods could be NaN.
+    top = float(np.abs(means).max())
+    reach = top + _NOISE_SIGMAS_MAX * math.sqrt(spec.noise_power)
+    spread = (reach + top) * (reach + top) / 2.0 / spec.noise_power
+    if not (math.isfinite(top / spec.noise_power) and math.isfinite(spread)):
+        raise ValueError(f"noise power {spec.noise_power:g} is too small to simulate: "
+                         "the decoder's exponents overflow")
+    return means
 
 
 class _Workspace:
@@ -128,8 +141,6 @@ def _decode_block(y: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray
         np.multiply(flags, k, out=moved)
         np.maximum(decided, moved, out=decided)
         np.maximum(column, lik[k], out=column)
-    if math.isnan(total.sum()):  # y mu/P_N overflowed: np.argmax takes the first NaN
-        np.argmax(lik, axis=0, out=decided)
     # L ln L, with 0 ln 0 = 0: no L_m is below the least subnormal but 0
     lik_ln_lik = e[:m]
     np.maximum(lik, _LEAST_SUBNORMAL, out=lik_ln_lik)

@@ -207,12 +207,55 @@ class TestSimulateCommand:
         assert "beyond the budget" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_noise_power_that_overflows_the_decoder_is_bad_input(
+        self, binary_spec_file, tmp_path, capsys
+    ):
+        # X = S = {-1, +1} with the zero-error code: at P_N = 1e-308 the
+        # decoder's exponents overflow (it read SER 0.50174 and MI nan), at
+        # 1e-300 they do not.
+        code_file = tmp_path / "code.txt"
+        code_file.write_text("1 2\n2 1\n")
+        argv = ["--code", str(code_file), "--trials", "50000", "--seed", "3"]
+        assert run(["simulate", binary_spec_file(noise=1e-308)] + argv) == EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: noise power 1e-308 is too small to simulate")
+        assert err.count("\n") == 1
+        assert run(["simulate", binary_spec_file(noise=1e-300)] + argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1] == "3,50000,3000,0,1"  # snr_db 3000, SER 0, MI 1
+        assert err == ""
+
+
 class TestCapacityCommand:
     def test_reports_and_converges(self, binary_spec_file, capsys):
         path = binary_spec_file(noise=0.1)
         assert run(["capacity", path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "capacity_bits" in out and "support-reduced" in out
+
+    def test_one_lp_per_job_and_the_capacity_pmf_printed(
+        self, binary_spec_file, monkeypatch, capsys
+    ):
+        path = binary_spec_file(noise=0.1)
+        spec = cli.load_spec(path)
+        result = optimize.capacity(spec, entropy.cost_tensor(spec))
+        solved = []
+        solve = optimize.solve_marginal_lp
+
+        def counted(costs, targets):
+            solved.append(targets)
+            return solve(costs, targets)
+
+        monkeypatch.setattr(optimize, "solve_marginal_lp", counted)
+        assert run(["capacity", path]) == EXIT_OK
+        assert len(solved) == 1  # the uniform-LP start; no support_reduce
+        lines = capsys.readouterr().out.splitlines()
+        support = result.pmf.support()
+        assert lines[2] == f"support-reduced pmf ({len(support)} symbols, bound 3):"
+        assert lines[3:3 + len(support)] == [
+            f"  ({cli._symbol_str(t)})  p={cli._fmt(result.pmf.prob(t))}" for t in support]
 
     def test_nonconvergence_exit(self, binary_spec_file, capsys):
         path = binary_spec_file(noise=0.1)
@@ -323,7 +366,7 @@ class TestBadInput:
             tracemalloc.stop()
         assert codes == [EXIT_BUDGET] * 2
         assert peak < 1 << 20
-        assert "nodes x MQ = 311360 x 256" in capsys.readouterr().err
+        assert "nodes x MQ = 77840 x 256" in capsys.readouterr().err
         # the benchmark's largest capacity instance, PAM-8/Q=3 at 15 dB, stays
         # under the budget, and so do PAM-4/Q=2 at 400 dB, binary at 120 dB
         # and random 64/2 at P_N = 0.05
@@ -338,11 +381,11 @@ class TestBadInput:
 
     @pytest.mark.filterwarnings("error")
     def test_node_counts_beyond_int64_do_not_wrap(self, binary_spec_file, chain_spec_file, capsys):
-        # The output grid's node count is exact at any SNR, 40 panels per
-        # distinct mean at 200 and 400 dB, and the sweep refuses at the first
+        # The output grid's node count is exact at any SNR, 20 panels of 16
+        # nodes per distinct mean at 200 and 400 dB, and the sweep refuses at the first
         # point beyond the budget.
         assert run(["sweep", chain_spec_file, "--snr-db=0:400:200", "--with-ba"]) == EXIT_BUDGET
-        assert "nodes x MQ = 327680 x 256" in capsys.readouterr().err
+        assert "nodes x MQ = 81920 x 256" in capsys.readouterr().err
         assert run(["sweep", binary_spec_file(), "--snr-db=0:400:200"]) == EXIT_OK
 
 

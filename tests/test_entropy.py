@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -488,3 +489,106 @@ class TestClusterSplit:
     def test_bad_mixtures_rejected(self, means, weights):
         with pytest.raises(ValueError, match="finite|positive"):
             entropy._mixture_entropies(np.array(means), np.array(weights), 1.0)
+
+
+# The scan behind entropy's quadrature rule. Every entropy must lie within
+# _SCAN_BOUND nats of a reference rule with 64 Gauss-Legendre nodes per
+# sigma/2 panel. The ROADMAP measured 12 nodes per sigma at 5.8e-14 and 6 per
+# sigma/2 at 2.0e-12. A finer scan read 5.3e-15 at 14 per sigma and 1.5e-14
+# at 13; 16 per sigma keeps its truncation error far below round-off.
+_SCAN_BOUND = 2e-14
+_REFERENCE_RULE = (0.5, 64)  # panel width in sigmas, nodes per panel
+_LADDER_SHAPES = ((4, 3), (6, 3), (4, 4), (5, 4), (8, 3), (16, 3), (32, 2))
+_SCAN_NOISE_POWERS = (0.005, 0.05, 0.5, 1.0)
+
+
+def _scan_specs():
+    """The benchmark ladder's eight instance shapes, random M/Q and PAM-8/Q=4,
+    at four noise powers."""
+    rng = np.random.default_rng(7)
+    for noise_power in _SCAN_NOISE_POWERS:
+        for m, q in _LADDER_SHAPES:
+            yield random_spec(rng, m, q, noise_power)
+        yield ChannelSpec(*PAM8Q4, noise_power)
+
+
+def _stress_mixtures():
+    """Unit-variance 2- and 3-component mixtures, offsets from 0.05 to 20
+    sigma, minor weights from 0.5 to 1e-4; zero-weight slots pad to width 3."""
+    minors = (0.5, 0.1, 1e-2, 1e-3, 1e-4)
+    means, weights = [], []
+    for gap in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 16.0, 20.0):
+        for w in minors:
+            means.append((0.0, gap, 0.0))
+            weights.append((1.0 - w, w, 0.0))
+    gaps = (0.05, 0.5, 2.0, 5.0, 12.0, 20.0)
+    for a, b in itertools.product(gaps, gaps):
+        for w in minors[1:]:
+            means += [(0.0, a, a + b)] * 2
+            weights += [(1.0 - 2.0 * w, w, w), (w, 1.0 - 2.0 * w, w)]
+    return np.array(means), np.array(weights)
+
+
+def _rule_entropies(panel_sigmas, nodes_per_panel):
+    """Every scanned cost tensor entry and stress entropy, in nats, with the
+    package's kernel on the given rule."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entropy, "_PANEL_SIGMAS", panel_sigmas)
+        patch.setattr(entropy, "_NODES_PER_PANEL", nodes_per_panel)
+        ladder = np.concatenate([cost_tensor(spec).values.ravel() for spec in _scan_specs()])
+        stress = entropy._mixture_entropies(*_stress_mixtures(), 1.0)
+    return ladder, stress
+
+
+@pytest.fixture(scope="module")
+def scan_references():
+    """The reference rule's entropies: the ladder on the package's kernel,
+    the stress mixtures on helpers' composite rule, which evaluates every
+    density directly."""
+    ladder = _rule_entropies(*_REFERENCE_RULE)[0]
+    panel_sigmas, nodes = _REFERENCE_RULE
+    stress = []
+    for mu, w in zip(*_stress_mixtures()):
+        lo, hi = -entropy._WINDOW_SIGMAS, mu.max() + entropy._WINDOW_SIGMAS
+        grid = QuadratureGrid(lo, hi, math.ceil((hi - lo) / panel_sigmas), nodes)
+        stress.append(differential_entropy(_mixture(mu, w, 1.0), grid))
+    return ladder, np.array(stress)
+
+
+def _scan_error(rule, references):
+    """Largest distance in nats of a rule's entropies from the references."""
+    return max(np.abs(got - want).max() for got, want in zip(_rule_entropies(*rule), references))
+
+
+class TestQuadratureRule:
+    def test_the_rule_is_within_the_bound(self, scan_references):
+        rule = (entropy._PANEL_SIGMAS, entropy._NODES_PER_PANEL)
+        assert _scan_error(rule, scan_references) <= _SCAN_BOUND
+
+    @pytest.mark.parametrize("rule", [(1.0, 12), (0.5, 6)], ids=["12 per sigma", "6 per half"])
+    def test_the_next_cheaper_rules_miss_the_bound(self, rule, scan_references):
+        assert _scan_error(rule, scan_references) > _SCAN_BOUND
+
+    def test_the_middle_exponent_cap_never_binds_on_a_live_component(self):
+        # A block of C-component mixtures spans at most min(20 C sigmas, its
+        # _BLOCK_ELEMENTS / max(C, nodes) panels); a component is live within
+        # sqrt(-2 _EXP_FLOOR) sigmas of a panel centre.
+        reach = math.sqrt(-2.0 * entropy._EXP_FLOOR)
+        worst = 0.0
+        for c in range(1, entropy._BLOCK_ELEMENTS + 1):
+            panels = math.ceil(entropy._SPLIT_SIGMAS * c / entropy._PANEL_SIGMAS)
+            step = min(panels, entropy._BLOCK_ELEMENTS // max(c, entropy._NODES_PER_PANEL))
+            span = (step - 1) * entropy._PANEL_SIGMAS
+            worst = max(worst, (span + reach) * entropy._PANEL_SIGMAS / 2)
+        assert worst < entropy._EXP_CAP
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [20, 57, 100])
+    def test_chains_around_the_widest_block(self, c):
+        # 19.5 sigma apart the means form one cluster; at C = 57 its block
+        # spans about 1,100 sigmas, the widest any C gives. The components
+        # overlap below e^-47, so h is ln C plus the Gaussian entropy.
+        sigma = 0.3
+        means = sigma * 19.5 * np.arange(float(c))[None]
+        got = entropy._mixture_entropies(means, np.full_like(means, 1.0 / c), sigma)[0]
+        assert got == pytest.approx(math.log(c) + gaussian_entropy(sigma * sigma), abs=3e-14)

@@ -9,6 +9,7 @@ from causalprecode import (
     ChannelSpec,
     CostTensor,
     JointPmf,
+    LpSolution,
     MarginalSet,
     capacity,
     cost_tensor,
@@ -19,6 +20,7 @@ from causalprecode import (
     solve_uniform_lp,
     support_reduce,
 )
+from causalprecode import optimize
 from causalprecode.optimize import (
     _AssociatedChannel,
     _incidence,
@@ -399,6 +401,35 @@ class TestCapacity:
         assert len(support_after) == 3
         assert np.allclose(p_y_after, p_y, rtol=1e-12, atol=0.0)
         assert p_after @ div_after[support_after] >= p_s @ div[support] - 1e-15
+
+    def test_dependent_support_at_exit_is_pivoted_within_the_bound(self, monkeypatch):
+        # Start from all four binary symbols, whose images are dependent, and
+        # stop after one pricing: the exit pivots leave three symbols, p_Y
+        # and max_t D_t, and I does not fall.
+        spec = binary_spec(noise_power=0.5)
+        costs = cost_tensor(spec)
+        everything = JointPmf(2, 2, np.asarray([0.1, 0.2, 0.3, 0.4]))
+        monkeypatch.setattr(optimize, "solve_uniform_lp",
+                            lambda c: LpSolution(everything, 0.0, 0, 4, np.zeros((2, 2))))
+        channel = _AssociatedChannel(spec, costs)
+        div = channel.prices(np.arange(4), everything.probs)[1]
+        result = capacity(spec, costs, max_iter=1)
+        assert not result.converged and result.iterations == 1
+        assert len(result.pmf.support()) == 3
+        assert result.upper_bound_bits == pytest.approx(div.max() / math.log(2.0), abs=1e-12)
+        assert result.capacity_bits >= everything.probs @ div / math.log(2.0) - 1e-12
+        assert mutual_information(result.pmf, spec, costs) == pytest.approx(
+            result.capacity_bits, abs=1e-12)
+
+    def test_support_beyond_the_bound_raises(self, monkeypatch):
+        spec = binary_spec(noise_power=0.5)
+        everything = JointPmf.uniform(2, 2)
+        monkeypatch.setattr(optimize, "solve_uniform_lp",
+                            lambda c: LpSolution(everything, 0.0, 0, 4, np.zeros((2, 2))))
+        monkeypatch.setattr(optimize, "_independent",
+                            lambda channel, support, p_s, div: (support, p_s))
+        with pytest.raises(RuntimeError, match="beyond MQ - Q \\+ 1"):
+            capacity(spec, cost_tensor(spec), max_iter=1)
 
     def test_upper_bound_holds_where_p_y_underflows(self):
         # Binary at 40 dB with support {(1,1)}: p_Y has means -2 and 0, so at

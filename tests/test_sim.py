@@ -87,16 +87,19 @@ class TestWorkspaceKernel:
         for workers in (1, 2, 3, 8):
             assert simulate(code, spec, trials, seed=31, workers=workers) == reference
 
-    def test_overflowed_exponents_decide_as_np_argmax(self):
-        # At P_N = 1.5e-308, y mu/P_N overflows for the means at +-2: their
-        # messages' L is NaN, and np.argmax decides for the first NaN.
-        spec = binary_spec(noise_power=1.5e-308)
-        for code in (((1, 1), (2, 2)), ((2, 2), (1, 1))):
-            with np.errstate(all="ignore"):
-                report = simulate(PrecoderCode(code), spec, 4_000, seed=5, workers=2)
-                reference = allocating_simulate(PrecoderCode(code), spec, 4_000, seed=5)
-            assert report.symbol_errors == reference.symbol_errors
-            assert math.isnan(report.empirical_mi_bits) and math.isnan(reference.empirical_mi_bits)
+    @pytest.mark.filterwarnings("error")
+    def test_noise_powers_that_overflow_the_exponents_are_refused(self):
+        # On binary the exponents or their gaps overflow below about 4.5e-308,
+        # and below about 2e-308 a trial's likelihoods would be NaN: SER
+        # 0.50174 and MI nan at 1e-308. At 1e-300 the zero-error code still
+        # decodes perfectly.
+        for noise in (4e-308, 3e-308, 2e-308, 1.5e-308, 1e-308, 5e-324):
+            with pytest.raises(ValueError, match="too small to simulate"):
+                simulate(ZERO_ERROR_CODE, binary_spec(noise_power=noise), 1_000, seed=3)
+            with pytest.raises(ValueError, match="too small to simulate"):
+                decode(0.0, ZERO_ERROR_CODE, binary_spec(noise_power=noise))
+        report = simulate(ZERO_ERROR_CODE, binary_spec(noise_power=1e-300), 50_000, seed=3)
+        assert report.symbol_errors == 0 and report.empirical_mi_bits == 1.0
 
     def test_a_warm_batch_allocates_no_arrays(self):
         rng = np.random.default_rng(3)
