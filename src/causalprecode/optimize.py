@@ -8,7 +8,10 @@ size yields optima with support at most MQ - Q + 1. The engine is a
 one-phase revised simplex from a northwest-corner basis. A symbol touches
 only Q marginals, so the simplex prices from the cost tensor and an M x Q
 table of duals; marginals are letter-major (i*Q + j for letter i, state
-j) here and in the capacity solver.
+j) here and in the capacity solver. It keeps an explicit basis inverse,
+updated by one eta transform per pivot and refactorized every 64 pivots,
+and at exit solves the final basis afresh, so the pmf and duals it returns
+come from one clean factorization.
 
 Capacity is computed on the channel whose outputs are the nodes of
 `entropy._output_grid`: the MQ output means cut into clusters 20 sigma
@@ -43,6 +46,14 @@ from .entropy import LN2, CostTensor
 _RC_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _RATIO_TIE_TOL = 1e-12
+# Dantzig pricing gives way to Bland's rule after this many consecutive
+# degenerate pivots per constraint (of the MQ).
+_BLAND_DEGENERATE_PER_ROW = 10
+# The simplex's basis inverse is refactorized from the dense basis after this
+# many eta updates, and whenever the entering direction it gives misses its
+# column by more than _ETA_RESIDUAL_TOL.
+_REFACTOR_PIVOTS = 64
+_ETA_RESIDUAL_TOL = 1e-9
 
 # Size budget, 2^24 (128 MiB of float64): the LPs' MQ constraints times M^Q
 # columns, and the capacity solver's nodes x MQ component table. Larger
@@ -137,6 +148,19 @@ def _minus_marginal_sums(tensor: np.ndarray, table: np.ndarray) -> np.ndarray:
     return tensor.reshape(-1)
 
 
+def _dual_sums(table: np.ndarray) -> np.ndarray:
+    """sum_j table[t_j, j] for every symbol t, flat in rank order: one outer
+    sum per state from the last, so each pass runs along the longest axis.
+    The simplex prices with it, in fewer passes than `_minus_marginal_sums`
+    takes; the capacity solver and the assignment keep the latter, whose
+    state-by-state rounding their printed outputs depend on."""
+    m, q = table.shape
+    sums = table[:, q - 1]
+    for j in range(q - 2, -1, -1):
+        sums = np.add.outer(table[:, j], sums).reshape(-1)
+    return sums
+
+
 def _northwest_corner(per_state: np.ndarray) -> list[int]:
     """Flat ranks of a starting basis for the marginals `per_state` (Q x M).
 
@@ -154,6 +178,45 @@ def _northwest_corner(per_state: np.ndarray) -> list[int]:
     return np.ravel_multi_index(np.cumsum(steps, axis=0).T, (m,) * q).tolist()
 
 
+def _entering(reduced: np.ndarray, bland: bool) -> int:
+    """The entering symbol for these reduced costs, or -1 at optimality:
+    under Bland's rule the lowest index with a negative reduced cost, else
+    the lowest index among those within _RATIO_TIE_TOL of the most negative
+    (so h_t equal up to rounding enter alike on any BLAS)."""
+    if bland:
+        below = reduced < -_RC_TOL
+        first = int(np.argmax(below))
+        return first if below[first] else -1
+    lowest = int(reduced.argmin())
+    best = reduced[lowest]
+    if best >= -_RC_TOL:
+        return -1
+    return int(np.argmax(reduced[:lowest + 1] <= best + _RATIO_TIE_TOL))
+
+
+def _refined(inverse: np.ndarray, basis_mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """B^-1 rhs from an approximate inverse of the basis B, refined once
+    against B, so its error is that of a solve, not the etas' drift."""
+    x = inverse @ rhs
+    x += inverse @ (rhs - basis_mat @ x)
+    return x
+
+
+def _direction(inverse: np.ndarray, basis_mat: np.ndarray, kept: list[int]):
+    """The entering direction B^-1 a for the 0-1 column a with ones at the
+    rows `kept`: the sum of those columns of the inverse, refined once
+    against the basis B. Returns it and the largest |B d - a| before the
+    refinement, which measures how far the inverse has drifted."""
+    direction = inverse[:, kept[0]].copy()
+    for k in kept[1:]:
+        direction += inverse[:, k]
+    miss = basis_mat @ direction
+    for k in kept:
+        miss[k] -= 1.0
+    direction -= inverse @ miss
+    return direction, float(np.abs(miss).max())
+
+
 def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
     """Minimize sum h*p over joint pmfs with the given per-state marginals.
 
@@ -164,6 +227,21 @@ def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
     Dantzig pricing until 10MQ consecutive degenerate pivots have occurred,
     then Bland's rule (guarantees termination on these highly degenerate
     transportation polytopes).
+
+    The basis inverse is kept explicitly and each pivot updates it by one
+    eta (rank-one) transform, so a pivot makes no solve (product form of
+    the inverse; Dantzig & Orchard-Hays 1954). The entering direction is
+    the sum of the inverse's columns at the entering symbol's kept
+    constraints. It, the duals and (when a symbol enters) the basic values
+    are each taken from the inverse and refined once against the dense
+    basis, so the pivots are those of a fresh solve per pivot. The inverse is refactorized from
+    the dense basis every _REFACTOR_PIVOTS pivots, and whenever the
+    direction it gives misses its column by more than _ETA_RESIDUAL_TOL.
+    When its prices show optimality, the basic values and duals are solved
+    afresh on the basis, and every symbol is priced again unless the fresh
+    duals are the ones just priced. Only an optimal fresh pricing stops the
+    simplex (any other refactorizes and pivots on), so the pmf and duals
+    returned come from one clean factorization.
     """
     m, q = costs.m, costs.q
     if (targets.q, targets.m) != (q, m):
@@ -172,54 +250,73 @@ def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
     # All M constraints of state 1, and of every later state all but the
     # last letter's (implied: every state's marginals sum to the total mass).
     rows = np.asarray([i * q + j for j in range(q) for i in range(m) if j == 0 or i < m - 1])
+    n_rows = len(rows)
+    kept_row = [-1] * (m * q)  # marginal entry -> its row among `rows`, -1 if dropped
+    for k, row in enumerate(rows.tolist()):
+        kept_row[row] = k
     b = targets.per_state.T.reshape(-1)
     b_rows = b[rows]
     c = costs.values.reshape(-1)
     strides = [m ** (q - 1 - j) for j in range(q)]
-    basis = _northwest_corner(targets.per_state)
-    basis_mat = _incidence(np.asarray(basis), m, q)[rows]
-    n_rows = len(rows)
+    basis = np.asarray(_northwest_corner(targets.per_state))
+    basis_mat = _incidence(basis, m, q)[rows]
+    inverse = np.linalg.inv(basis_mat)
+    since_refactor = 0
     duals = np.zeros(m * q)  # zero on the dropped constraints
     dual_table = duals.reshape(m, q)
+    fresh = False  # x_basic and duals were solved afresh on the current basis
     bland = False
     degenerate_run = 0
     iterations = 0
     max_iterations = 200 * (n_rows + c.size) + 1000
     while True:
-        x_basic = np.linalg.solve(basis_mat, b_rows)
-        duals[rows] = np.linalg.solve(basis_mat.T, c[basis])
-        reduced = _minus_marginal_sums(costs.values.copy(), dual_table)
+        if not fresh:
+            duals[rows] = _refined(inverse.T, basis_mat.T, c[basis])
+        reduced = c - _dual_sums(dual_table)
         reduced[basis] = 0.0
-        if bland:
-            candidates = np.nonzero(reduced < -_RC_TOL)[0]
-            if candidates.size == 0:
+        entering = _entering(reduced, bland)
+        if entering < 0:
+            if fresh:
                 break
-            entering = int(candidates[0])
-        else:
-            best = reduced.min()
-            if best >= -_RC_TOL:
-                break
-            # Lowest index among near-ties, so h_t equal up to rounding enter alike on any BLAS.
-            entering = int(np.flatnonzero(reduced <= best + _RATIO_TIE_TOL)[0])
-        column = np.zeros(m * q)
-        column[[entering // stride % m * q + j for j, stride in enumerate(strides)]] = 1.0
-        column = column[rows]
-        direction = np.linalg.solve(basis_mat, column)
-        positive = direction > _PIVOT_TOL
-        if not np.any(positive):
-            raise SimplexError("unbounded direction on a bounded polytope")
-        ratios = np.full(n_rows, np.inf)
-        ratios[positive] = np.maximum(x_basic[positive], 0.0) / direction[positive]
+            x_basic = np.linalg.solve(basis_mat, b_rows)
+            priced = duals[rows]
+            duals[rows] = np.linalg.solve(basis_mat.T, c[basis])
+            if np.array_equal(duals[rows], priced):
+                break  # equal up to signed zeros: the pricing just done stands
+            fresh = True
+            continue
+        if not fresh:
+            x_basic = _refined(inverse, basis_mat, b_rows)
+        kept = [k for k in (kept_row[entering // stride % m * q + j]
+                            for j, stride in enumerate(strides)) if k >= 0]
+        if fresh or since_refactor >= _REFACTOR_PIVOTS:
+            inverse = np.linalg.inv(basis_mat)
+            since_refactor = 0
+        direction, miss = _direction(inverse, basis_mat, kept)
+        if since_refactor and miss > _ETA_RESIDUAL_TOL:
+            inverse = np.linalg.inv(basis_mat)
+            since_refactor = 0
+            direction = _direction(inverse, basis_mat, kept)[0]
+        ratios = np.divide(np.maximum(x_basic, 0.0), direction, out=np.full(n_rows, np.inf),
+                           where=direction > _PIVOT_TOL)
         theta = float(ratios.min())
-        ties = np.nonzero(ratios <= theta + _RATIO_TIE_TOL)[0]
+        if theta == np.inf:
+            raise SimplexError("unbounded direction on a bounded polytope")
         # Among tied rows leave the smallest variable index (Bland-safe).
-        leaving_row = int(min(ties, key=lambda i: basis[i]))
+        leaving_row = int(np.where(ratios <= theta + _RATIO_TIE_TOL, basis, c.size).argmin())
+        pivot_row = inverse[leaving_row] / direction[leaving_row]
+        inverse -= direction[:, None] * pivot_row
+        inverse[leaving_row] = pivot_row
+        since_refactor += 1
         basis[leaving_row] = entering
-        basis_mat[:, leaving_row] = column
+        basis_mat[:, leaving_row] = 0.0
+        for k in kept:
+            basis_mat[k, leaving_row] = 1.0
+        fresh = False
         iterations += 1
         if theta <= _RATIO_TIE_TOL:
             degenerate_run += 1
-            if degenerate_run > 10 * m * q:
+            if degenerate_run > _BLAND_DEGENERATE_PER_ROW * m * q:
                 bland = True
         else:
             degenerate_run = 0
@@ -228,7 +325,7 @@ def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
     x = np.zeros(c.size)
     x[basis] = np.maximum(x_basic, 0.0)
     objective = float(np.dot(c, x))
-    residual = np.abs(_incidence(np.asarray(basis), m, q) @ x[basis] - b).max()
+    residual = np.abs(_incidence(basis, m, q) @ x[basis] - b).max()
     if residual > 1e-8:
         raise SimplexError(f"constraint residual {residual:.3e} exceeds 1e-8")
     total = x.sum()
@@ -422,10 +519,12 @@ def _null_space(a: np.ndarray) -> np.ndarray:
         p = r + int(np.argmax(np.abs(a[r:, c])))
         if abs(a[p, c]) <= tiny:
             continue
-        a[[r, p]] = a[[p, r]]
+        if p != r:
+            a[[r, p]] = a[[p, r]]
         a[r] /= a[r, c]
-        others = np.arange(rows) != r
-        a[others] -= np.outer(a[others, c], a[r])
+        f = a[:, c].copy()
+        f[r] = 0.0  # row r itself is left as it is
+        a -= f[:, None] * a[r]
         pivots.append(c)
     free = [c for c in range(cols) if c not in pivots]
     null = np.zeros((cols, len(free)))

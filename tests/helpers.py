@@ -24,6 +24,7 @@ from causalprecode import (
     cost_tensor,
 )
 from causalprecode import entropy as _entropy
+from causalprecode import optimize as _optimize
 from causalprecode import sim as _sim
 from causalprecode.model import SUPPORT_THRESHOLD, AssociatedSymbol
 
@@ -186,6 +187,100 @@ def marginal_constraint_matrix(m: int, q: int) -> np.ndarray:
         for letter in range(1, m + 1):
             rows.append([1.0 if t[state] == letter else 0.0 for t in symbols])
     return np.asarray(rows)
+
+
+def dense_marginal_lp(costs: CostTensor, targets: MarginalSet) -> tuple[LpSolution, int | None]:
+    """`optimize.solve_marginal_lp` as it was before its eta-updated inverse:
+    every pivot solves the dense basis three times (basic values, duals,
+    entering direction). Same start, pricing, ratio test, tolerances and
+    Bland threshold, read from `optimize` at call time. Returns the solution
+    and the pivot after which Bland's rule took over (None if it never did).
+    """
+    opt = _optimize
+    m, q = costs.m, costs.q
+    rows = np.asarray([i * q + j for j in range(q) for i in range(m) if j == 0 or i < m - 1])
+    b = targets.per_state.T.reshape(-1)
+    b_rows = b[rows]
+    c = costs.values.reshape(-1)
+    strides = [m ** (q - 1 - j) for j in range(q)]
+    basis = opt._northwest_corner(targets.per_state)
+    basis_mat = opt._incidence(np.asarray(basis), m, q)[rows]
+    n_rows = len(rows)
+    duals = np.zeros(m * q)
+    dual_table = duals.reshape(m, q)
+    bland_from = None
+    degenerate_run = 0
+    iterations = 0
+    while True:
+        x_basic = np.linalg.solve(basis_mat, b_rows)
+        duals[rows] = np.linalg.solve(basis_mat.T, c[basis])
+        reduced = opt._minus_marginal_sums(costs.values.copy(), dual_table)
+        reduced[basis] = 0.0
+        if bland_from is not None:
+            candidates = np.nonzero(reduced < -opt._RC_TOL)[0]
+            if candidates.size == 0:
+                break
+            entering = int(candidates[0])
+        else:
+            best = reduced.min()
+            if best >= -opt._RC_TOL:
+                break
+            entering = int(np.flatnonzero(reduced <= best + opt._RATIO_TIE_TOL)[0])
+        column = np.zeros(m * q)
+        column[[entering // stride % m * q + j for j, stride in enumerate(strides)]] = 1.0
+        column = column[rows]
+        direction = np.linalg.solve(basis_mat, column)
+        positive = direction > opt._PIVOT_TOL
+        ratios = np.full(n_rows, np.inf)
+        ratios[positive] = np.maximum(x_basic[positive], 0.0) / direction[positive]
+        theta = float(ratios.min())
+        ties = np.nonzero(ratios <= theta + opt._RATIO_TIE_TOL)[0]
+        leaving_row = int(min(ties, key=lambda i: basis[i]))
+        basis[leaving_row] = entering
+        basis_mat[:, leaving_row] = column
+        iterations += 1
+        if theta <= opt._RATIO_TIE_TOL:
+            degenerate_run += 1
+            if degenerate_run > opt._BLAND_DEGENERATE_PER_ROW * m * q and bland_from is None:
+                bland_from = iterations
+        else:
+            degenerate_run = 0
+    x = np.zeros(c.size)
+    x[basis] = np.maximum(x_basic, 0.0)
+    objective = float(np.dot(c, x))
+    total = x.sum()
+    if abs(total - 1.0) > 1e-9:
+        x = x / total
+    sol = LpSolution(pmf=JointPmf(m, q, x), objective=objective, iterations=iterations,
+                     basis_size=len(basis), duals=dual_table)
+    return sol, bland_from
+
+
+def dense_null_space(a: np.ndarray) -> np.ndarray:
+    """`optimize._null_space` as it was before its one-broadcast
+    elimination: each step subtracts an outer product from the rows a
+    boolean mask selects, and rows are swapped even onto themselves."""
+    a = a.astype(float)
+    rows, cols = a.shape
+    tiny = _optimize._IMAGE_RANK_TOL * np.abs(a).max(initial=0.0)
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        p = r + int(np.argmax(np.abs(a[r:, c])))
+        if abs(a[p, c]) <= tiny:
+            continue
+        a[[r, p]] = a[[p, r]]
+        a[r] /= a[r, c]
+        others = np.arange(rows) != r
+        a[others] -= np.outer(a[others, c], a[r])
+        pivots.append(c)
+    free = [c for c in range(cols) if c not in pivots]
+    null = np.zeros((cols, len(free)))
+    null[free, np.arange(len(free))] = 1.0
+    null[pivots] = -a[: len(pivots)][:, free]
+    return null
 
 
 _VERTEX_CHUNK = 20000

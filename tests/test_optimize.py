@@ -33,6 +33,8 @@ from helpers import (
     binary_spec,
     blahut_arimoto,
     dense_blahut_arimoto,
+    dense_marginal_lp,
+    dense_null_space,
     enumerate_vertex_objectives,
     ipf_feasible_points,
     marginal_constraint_matrix,
@@ -172,6 +174,123 @@ class TestMarginalLp:
         targets = MarginalSet(np.asarray([[1.0, 0.0], [0.0, 1.0]]))
         sol = solve_marginal_lp(costs, targets)
         assert sol.pmf.prob((1, 2)) == pytest.approx(1.0, abs=1e-12)
+
+
+def _assert_same_lp(sol, oracle):
+    """Same pivots, support, and pmf, duals and objective to the last bit."""
+    assert sol.iterations == oracle.iterations
+    assert sol.pmf.support() == oracle.pmf.support()
+    assert sol.pmf.probs.tobytes() == oracle.pmf.probs.tobytes()
+    assert sol.duals.tobytes() == oracle.duals.tobytes()
+    assert sol.objective == oracle.objective
+
+
+_PAM8 = (-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0)
+
+
+def _ladder_costs(noise_power):
+    """The benchmark ladder's shapes: random 4/3 to 32/2, and PAM-8/Q=4."""
+    rng = np.random.default_rng(24)
+    shapes = [(4, 3), (6, 3), (4, 4), (5, 4), (8, 3), (16, 3), (32, 2)]
+    specs = [random_spec(rng, m, q, noise_power) for m, q in shapes]
+    specs.append(ChannelSpec(_PAM8, (-3.0, -1.0, 1.0, 3.0), (0.25,) * 4, noise_power))
+    return [cost_tensor(spec) for spec in specs]
+
+
+class TestEtaInverse:
+    """The simplex with an eta-updated basis inverse takes the pivots of the
+    three-solve loop it replaced (`helpers.dense_marginal_lp`) and returns
+    its bytes."""
+
+    @pytest.mark.parametrize("noise_power", [0.05, 0.5])
+    def test_matches_the_dense_oracle_on_the_ladder(self, noise_power):
+        for costs in _ladder_costs(noise_power):
+            targets = MarginalSet.uniform(costs.m, costs.q)
+            oracle, _ = dense_marginal_lp(costs, targets)
+            _assert_same_lp(solve_marginal_lp(costs, targets), oracle)
+
+    def test_matches_the_dense_oracle_on_general_targets(self):
+        rng = np.random.default_rng(8)
+        for m, q in [(5, 3), (6, 2), (4, 4), (8, 3), (3, 5)]:
+            costs = cost_tensor(random_spec(rng, m, q, 0.2))
+            for _ in range(3):
+                per_state = rng.dirichlet(np.ones(m), size=q)
+                per_state[rng.random((q, m)) < 0.25] = 0.0  # zero letters
+                per_state[:, 0] += 1e-3
+                per_state /= per_state.sum(axis=1, keepdims=True)
+                targets = MarginalSet(per_state)
+                oracle, _ = dense_marginal_lp(costs, targets)
+                _assert_same_lp(solve_marginal_lp(costs, targets), oracle)
+
+    @pytest.mark.parametrize("m,q", [(16, 3), (32, 2)])
+    def test_matches_the_dense_oracle_on_rounded_costs(self, m, q):
+        # The perturbations of test_support_survives_rounding_of_the_costs.
+        values = cost_tensor(random_spec(np.random.default_rng(0), m, q, 0.05)).values
+        for seed in range(3):
+            flips = np.random.default_rng(seed).choice([-1, 0, 1], size=values.shape)
+            costs = CostTensor(values * (1 + 4e-16 * flips))
+            oracle, _ = dense_marginal_lp(costs, MarginalSet.uniform(m, q))
+            _assert_same_lp(solve_uniform_lp(costs), oracle)
+
+    def test_matches_the_dense_oracle_where_the_inverse_drifts(self):
+        # Random 32/3 takes 904 pivots; with basic values taken from the
+        # eta-updated inverse unrefined, the simplex ends after 903.
+        costs = cost_tensor(random_spec(np.random.default_rng(1), 32, 3, 0.05))
+        oracle, _ = dense_marginal_lp(costs, MarginalSet.uniform(32, 3))
+        _assert_same_lp(solve_uniform_lp(costs), oracle)
+
+    def test_refinement_recovers_a_drifted_inverse(self):
+        # A basis of the marginal LP and its inverse off by 1e-9 (as after
+        # many eta updates): one refinement step brings the direction and a
+        # solve back to round-off.
+        rng = np.random.default_rng(6)
+        m, q = 6, 3
+        rows = [i * q + j for j in range(q) for i in range(m) if j == 0 or i < m - 1]
+        basis_mat = _incidence(np.asarray(_northwest_corner(np.full((q, m), 1.0 / m))), m, q)[rows]
+        drifted = np.linalg.inv(basis_mat) + 1e-9 * rng.normal(size=basis_mat.shape)
+        column = np.zeros(len(rows))
+        column[[2, 7]] = 1.0
+        direction, miss = optimize._direction(drifted, basis_mat, [2, 7])
+        assert miss > 1e-10
+        assert np.abs(direction - np.linalg.solve(basis_mat, column)).max() < 1e-14
+        rhs = rng.normal(size=len(rows))
+        exact = np.linalg.solve(basis_mat.T, rhs)
+        assert np.abs(optimize._refined(drifted.T, basis_mat.T, rhs) - exact).max() < 1e-14
+
+    @pytest.mark.parametrize("interval", [1, 10**9])
+    def test_refactorization_interval_changes_nothing(self, monkeypatch, interval):
+        monkeypatch.setattr(optimize, "_REFACTOR_PIVOTS", interval)
+        for costs in _ladder_costs(0.05)[4:]:
+            oracle, _ = dense_marginal_lp(costs, MarginalSet.uniform(costs.m, costs.q))
+            _assert_same_lp(solve_uniform_lp(costs), oracle)
+
+    def test_bland_path_matches_the_dense_oracle(self, monkeypatch):
+        # At the default threshold the ladder never reaches Bland's rule; at
+        # one degenerate pivot per constraint random 16/3 switches to it at
+        # pivot 166 of 554.
+        monkeypatch.setattr(optimize, "_BLAND_DEGENERATE_PER_ROW", 1)
+        costs = cost_tensor(random_spec(np.random.default_rng(0), 16, 3, 0.05))
+        oracle, bland_from = dense_marginal_lp(costs, MarginalSet.uniform(16, 3))
+        assert bland_from is not None and bland_from < oracle.iterations
+        _assert_same_lp(solve_uniform_lp(costs), oracle)
+
+    def test_one_factorization_per_refactorization_interval(self, monkeypatch):
+        # Random 16/3 takes 271 pivots; a solve per pivot would make hundreds
+        # of factorizations.
+        costs = cost_tensor(random_spec(np.random.default_rng(0), 16, 3, 0.05))
+        counts = {"factorizations": 0}
+        for name in ("inv", "solve"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, real=real, **kwargs):
+                counts["factorizations"] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        sol = solve_uniform_lp(costs)
+        assert sol.iterations > 3 * optimize._REFACTOR_PIVOTS
+        assert counts["factorizations"] <= math.ceil(
+            sol.iterations / optimize._REFACTOR_PIVOTS) + 2
 
 
 class TestUniformLp:
@@ -385,6 +504,20 @@ class TestCapacity:
             assert np.abs(a @ null).max() < 1e-12
             assert np.linalg.matrix_rank(null) == null.shape[1]
         assert _null_space(np.eye(3)).shape == (3, 0)
+
+    def test_null_space_matches_the_masked_elimination(self):
+        # Random 0/1 and real matrices, and the distinct-mean images of
+        # binary supports, whose columns repeat.
+        rng = np.random.default_rng(13)
+        mats = [rng.integers(0, 2, size=shape).astype(float)
+                for shape in [(3, 5), (6, 4), (7, 9), (1, 3), (5, 5)]]
+        mats += [rng.normal(size=(4, 7)), np.zeros((2, 3))]
+        spec = binary_spec(noise_power=0.5)
+        channel = _AssociatedChannel(spec, cost_tensor(spec))
+        mats += [channel.image @ _incidence(np.asarray(support), 2, 2)
+                 for support in ([0, 1, 2, 3], [0, 3], [1, 2, 3])]
+        for a in mats:
+            assert np.array_equal(_null_space(a), dense_null_space(a))
 
     def test_pivot_moves_mass_without_moving_p_y(self):
         # Binary: (1,1) and (2,2) put the same means on the output as (1,2)
