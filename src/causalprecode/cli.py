@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from collections.abc import Collection
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import assign as _assign
@@ -295,13 +294,7 @@ def _cmd_sweep(args) -> int:
         if args.with_ba:
             _optimize.check_capacity_budget(replace(spec, noise_power=noise))
     assignments = _sweep_assignments(spec)
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(
-                pool.map(lambda s: sweep_point(spec, s, args.with_ba, assignments), snrs)
-            )
-    else:
-        rows = [sweep_point(spec, s, args.with_ba, assignments) for s in snrs]
+    rows = [sweep_point(spec, s, args.with_ba, assignments) for s in snrs]
     text = sweep_csv(rows, assignments)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -321,7 +314,7 @@ def _available_cpus() -> int:
 
 
 def _workers(text: str) -> int:
-    """--workers: at least 1, and no more threads than CPUs available.
+    """simulate --workers: at least 1, and no more threads than CPUs available.
 
     Reports do not depend on the worker count, so the clamp is silent.
     """
@@ -373,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the CSV here (default stdout)")
     p.add_argument("--with-ba", action="store_true",
                    help="also compute the capacity per point")
-    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -395,8 +395,7 @@ class TestSweepCommand:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         assert run(["sweep", path, "--snr-db=-2:2:1", "--out", str(out1)]) == EXIT_OK
-        assert run(["sweep", path, "--snr-db=-2:2:1", "--out", str(out2),
-                    "--workers", "4"]) == EXIT_OK
+        assert run(["sweep", path, "--snr-db=-2:2:1", "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().splitlines()
         assert lines[0].startswith("#")
@@ -409,8 +408,7 @@ class TestSweepCommand:
     def test_rows_ordered_by_snr(self, binary_spec_file, tmp_path):
         path = binary_spec_file()
         out = tmp_path / "c.csv"
-        assert run(["sweep", path, "--snr-db=0:10:2.5", "--out", str(out),
-                    "--workers", "3"]) == EXIT_OK
+        assert run(["sweep", path, "--snr-db=0:10:2.5", "--out", str(out)]) == EXIT_OK
         rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
         snrs = [float(r[0]) for r in rows]
         assert snrs == sorted(snrs) == [0.0, 2.5, 5.0, 7.5, 10.0]
@@ -545,7 +543,6 @@ class TestWorkers:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordingPool)
         path = binary_spec_file()
         code = tmp_path / "code.txt"
@@ -556,8 +553,7 @@ class TestWorkers:
         serial = capsys.readouterr().out
         assert run(simulate + ["100000"]) == EXIT_OK
         assert capsys.readouterr().out == serial
-        assert run(["sweep", path, "--snr-db=0:2:1", "--workers", "10000"]) == EXIT_OK
-        assert sizes == [3, 3]
+        assert sizes == [3]
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_below_one_is_bad_input(self, binary_spec_file, tmp_path, workers, capsys):
@@ -565,8 +561,16 @@ class TestWorkers:
         code = tmp_path / "code.txt"
         code.write_text("1 2\n2 1\n")
         assert run(["simulate", path, "--code", str(code), "--workers", workers]) == EXIT_BAD_INPUT
-        assert run(["sweep", path, "--snr-db=0:2:1", "--workers", workers]) == EXIT_BAD_INPUT
         assert "at least 1" in capsys.readouterr().err
+
+    def test_sweep_has_no_workers_option(self, binary_spec_file, monkeypatch, capsys):
+        # The sweep is serial: one worker beat two on every measured sweep.
+        calls = []
+        monkeypatch.setattr(cli, "sweep_point", lambda *args: calls.append(args))
+        path = binary_spec_file()
+        assert run(["sweep", path, "--snr-db=0:2:1", "--workers", "2"]) == EXIT_BAD_INPUT
+        assert "--workers" in capsys.readouterr().err
+        assert calls == []
 
 
 def _gaussian_mixture(means, weights, var):

@@ -41,6 +41,22 @@ def test_no_function_takes_a_grid():
     assert found == [], f"functions with a grid parameter: {found}"
 
 
+def test_only_sim_starts_threads():
+    # Only `simulate`'s pool is measured to pay: a sweep at 2 workers lost to
+    # 1 worker on every sweep measured.
+    pools = ("concurrent", "threading")
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no package sources under {SRC}"
+    found = sorted({
+        path.name
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] in pools for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in pools
+    })
+    assert found == ["sim.py"], f"modules importing a thread pool: {found}"
+
+
 @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special"])
 def test_cli_import_does_not_load_scipy_optimize(module):
     # Importing either module costs 0.2-0.35 s, about half of a CLI call's
