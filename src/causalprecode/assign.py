@@ -32,7 +32,6 @@ from .model import (
     AssociatedSymbol,
     BudgetExceededError,
     ChannelSpec,
-    MarginalSet,
     PrecoderCode,
     code_pmf,
 )
@@ -291,9 +290,9 @@ def multidim_assignment(
         witness = [(j,) for j in col]
     else:
         if lp is None:
-            lp = _optimize.solve_marginal_lp(costs, MarginalSet.uniform(n, q))
+            lp = _optimize.solve_uniform_lp(costs)
         duals, witness = lp.duals, _vertex_assignment(lp.pmf.probs, n, q)
-    reduced = _optimize._minus_marginal_sums(values.copy(), duals).reshape(values.shape)
+    reduced = values - _optimize._dual_sums(duals).reshape(values.shape)
     dual_sum = math.fsum(duals.ravel().tolist())
     lowest = min(0.0, float(reduced.min()))
     margin = _ROUNDOFF * n * q * float(np.abs(values).max() + q * np.abs(duals).max())

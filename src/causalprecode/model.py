@@ -174,9 +174,9 @@ class JointPmf:
         p = np.array(self.probs, dtype=float).reshape(-1)
         if p.shape[0] != self.m**self.q:
             raise ValueError(f"pmf length {p.shape[0]} != {self.m}^{self.q}")
-        if np.any(p < -1e-12):
-            raise ValueError("pmf entries must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
+        if not np.all(p >= -1e-12):
+            raise ValueError("pmf entries must be nonnegative numbers, not NaN")
+        if not abs(float(p.sum()) - 1.0) <= 1e-9:
             raise ValueError("pmf must sum to 1 within 1e-9")
         p = np.maximum(p, 0.0)
         p.flags.writeable = False
@@ -220,10 +220,10 @@ class MarginalSet:
         rows = np.array(self.per_state, dtype=float)
         if rows.ndim != 2:
             raise ValueError("per_state must be a Q x M array")
-        if np.any(rows < -1e-12):
-            raise ValueError("marginal entries must be nonnegative")
+        if not np.all(rows >= -1e-12):
+            raise ValueError("marginal entries must be nonnegative numbers, not NaN")
         sums = rows.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
+        if not np.all(np.abs(sums - 1.0) <= 1e-9):
             raise ValueError("each marginal row must sum to 1 within 1e-9")
         rows = np.maximum(rows, 0.0)
         rows.flags.writeable = False

@@ -141,7 +141,9 @@ def _incidence(ranks: np.ndarray, m: int, q: int) -> np.ndarray:
 
 def _minus_marginal_sums(tensor: np.ndarray, table: np.ndarray) -> np.ndarray:
     """tensor[t] - sum_j table[t_j, j] for every symbol t, in place on the
-    (M,)*Q `tensor`, state by state; returns it flat."""
+    (M,)*Q `tensor`, state by state; returns it flat. Only the capacity
+    solver's prices use it: the printed capacity pmf depends on this
+    rounding, where `_dual_sums` would move its last digits."""
     m, q = table.shape
     for j in range(q):
         tensor -= table[:, j].reshape((m,) + (1,) * (q - 1 - j))
@@ -151,9 +153,9 @@ def _minus_marginal_sums(tensor: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _dual_sums(table: np.ndarray) -> np.ndarray:
     """sum_j table[t_j, j] for every symbol t, flat in rank order: one outer
     sum per state from the last, so each pass runs along the longest axis.
-    The simplex prices with it, in fewer passes than `_minus_marginal_sums`
-    takes; the capacity solver and the assignment keep the latter, whose
-    state-by-state rounding their printed outputs depend on."""
+    The simplex and the assignment price with it, in fewer passes than
+    `_minus_marginal_sums` takes; the capacity solver keeps the latter,
+    because only the capacity pmf depends on its state-by-state rounding."""
     m, q = table.shape
     sums = table[:, q - 1]
     for j in range(q - 2, -1, -1):
@@ -547,13 +549,14 @@ def _pivot(support: np.ndarray, p_s: np.ndarray, d_s: np.ndarray, null: np.ndarr
 
 def _independent(channel: _AssociatedChannel, support, p_s, div):
     """Pivot (`_pivot`, with every symbol's D_t in `div`) until the
-    support's distinct-mean images are independent; returns the support and
-    its weights. Each pivot removes a symbol, and independent images number
-    at most MQ - Q + 1."""
+    support's distinct-mean images are independent; returns the support, its
+    weights and its incidence (`_incidence`). Each pivot removes a symbol,
+    and independent images number at most MQ - Q + 1."""
     while True:
-        null = _null_space(channel.image @ _incidence(support, channel.m, channel.q))
+        b = _incidence(support, channel.m, channel.q)
+        null = _null_space(channel.image @ b)
         if not null.size:
-            return support, p_s
+            return support, p_s, b
         support, p_s = _pivot(support, p_s, div[support], null)
 
 
@@ -598,14 +601,13 @@ def capacity(
 
     Maximizes the concave I(p) = sum_t p_t D_t over input pmfs by an active
     set method, starting from the uniform-LP solution. Every iteration
-    prices all symbols (D_t as in `_AssociatedChannel.prices`), stops once
-    max_t D_t - min over the support of D_t < `tol` nats, and otherwise
-    takes one step:
+    prices all symbols (D_t as in `_AssociatedChannel.prices`), then pivots
+    while the support's distinct-mean images are dependent: the output
+    density is constant along their null space, so I is linear there, a
+    ratio test moves to the boundary, and the prices just taken still hold.
+    It stops once max_t D_t - min over the support of D_t < `tol` nats, and
+    otherwise takes one step:
 
-    - a pivot, while the support's distinct-mean images are dependent: the
-      output density is constant along their null space, so I is linear
-      there and a ratio test moves to the boundary, so the support never
-      exceeds MQ - Q + 1;
     - an entering step, when the largest D_t lies off the support and
       max_t D_t - I(p) is at least I(p) - min over the support of D_t: a
       line search along e_t - p;
@@ -615,10 +617,10 @@ def capacity(
       columns that reach zero leave.
 
     Any p_Y bounds capacity above by max_t D_t, so the result certifies
-    capacity in [capacity_bits, upper_bound_bits]. The returned pmf has
-    independent distinct-mean images (pivots at exit, then one more pricing
-    if any was taken), hence at most MQ - Q + 1 symbols; a larger support
-    raises RuntimeError. Raises ValueError if
+    capacity in [capacity_bits, upper_bound_bits]. Every exit follows the
+    pivots, so the returned pmf has independent distinct-mean images, hence
+    at most MQ - Q + 1 symbols; a larger support raises RuntimeError.
+    `iterations` counts the pricings. Raises ValueError if
     `check_capacity_options` fails or `costs` does not have the spec's M and
     Q, and BudgetExceededError if `check_capacity_budget` fails, all before
     any work.
@@ -632,9 +634,10 @@ def capacity(
     support = np.flatnonzero(start > 0.0)
     p_s = start[support] / start[support].sum()
     converged = False
-    independent = False  # the support's distinct-mean images, known to be
     for iterations in range(1, max_iter + 1):
         p_y, div = channel.prices(support, p_s)
+        # Pivots keep p_Y, so these prices stand for the reduced support too.
+        support, p_s, b = _independent(channel, support, p_s, div)
         d_s = div[support]
         info = float(p_s @ d_s)
         upper = max(float(div.max()), info)  # I is a mean of D, up to rounding
@@ -643,24 +646,11 @@ def capacity(
             break
         if iterations == max_iter:
             break
-        b = _incidence(support, channel.m, channel.q)
-        null = _null_space(channel.image @ b)
         best = int(np.argmax(div))
-        independent = False
-        if null.size:
-            support, p_s = _pivot(support, p_s, d_s, null)
-        elif best not in support and upper - info >= info - d_s.min():
+        if best not in support and upper - info >= info - d_s.min():
             support, p_s = _enter(channel, support, p_s, p_y, best)
-        else:  # keeps a subset of the support, whose images are independent
+        else:
             support, p_s = _newton(channel, support, p_s, p_y, d_s, b)
-            independent = True
-    if not independent:
-        reduced, p_s = _independent(channel, support, p_s, div)
-        if len(reduced) < len(support):  # pivots keep p_Y, so D_t and the certificate
-            support = reduced
-            div = channel.prices(support, p_s)[1]
-            info = float(p_s @ div[support])
-            upper = max(float(div.max()), info)
     if len(support) > channel.m * channel.q - channel.q + 1:
         raise RuntimeError(f"the capacity pmf has {len(support)} symbols, beyond MQ - Q + 1")
     probs = np.zeros(channel.h.size)

@@ -100,6 +100,10 @@ class TestJointPmf:
             JointPmf(2, 2, np.asarray([0.5, 0.5, 0.5, 0.5]))
         with pytest.raises(ValueError, match="nonnegative"):
             JointPmf(2, 2, np.asarray([1.5, -0.5, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            JointPmf(2, 2, np.full(4, np.nan))
+        with pytest.raises(ValueError, match="nonnegative"):
+            JointPmf(2, 2, np.asarray([1.0, np.nan, 0.0, 0.0]))
 
     def test_support_threshold(self):
         p = JointPmf(2, 1, np.asarray([1.0 - 1e-12, 1e-12]))
@@ -140,6 +144,10 @@ class TestMarginals:
     def test_marginalset_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
             MarginalSet(np.asarray([[0.6, 0.6]]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            MarginalSet(np.asarray([[np.nan, np.nan], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            MarginalSet(np.asarray([[1.0, np.nan]]))
 
 
 class TestPrecode:

@@ -535,10 +535,11 @@ class TestCapacity:
         assert np.allclose(p_y_after, p_y, rtol=1e-12, atol=0.0)
         assert p_after @ div_after[support_after] >= p_s @ div[support] - 1e-15
 
-    def test_dependent_support_at_exit_is_pivoted_within_the_bound(self, monkeypatch):
+    def test_dependent_support_is_pivoted_after_the_pricing(self, monkeypatch):
         # Start from all four binary symbols, whose images are dependent, and
-        # stop after one pricing: the exit pivots leave three symbols, p_Y
-        # and max_t D_t, and I does not fall.
+        # stop after one pricing: the pivots after it leave three symbols, p_Y
+        # and max_t D_t, and I does not fall. No pricing is taken beyond the
+        # iterations counted, at max_iter or at convergence.
         spec = binary_spec(noise_power=0.5)
         costs = cost_tensor(spec)
         everything = JointPmf(2, 2, np.asarray([0.1, 0.2, 0.3, 0.4]))
@@ -546,21 +547,44 @@ class TestCapacity:
                             lambda c: LpSolution(everything, 0.0, 0, 4, np.zeros((2, 2))))
         channel = _AssociatedChannel(spec, costs)
         div = channel.prices(np.arange(4), everything.probs)[1]
+        pricings = []
+        prices = _AssociatedChannel.prices
+
+        def counted(self, support, p_s):
+            pricings.append(len(support))
+            return prices(self, support, p_s)
+
+        monkeypatch.setattr(_AssociatedChannel, "prices", counted)
         result = capacity(spec, costs, max_iter=1)
         assert not result.converged and result.iterations == 1
+        assert pricings == [4]
         assert len(result.pmf.support()) == 3
         assert result.upper_bound_bits == pytest.approx(div.max() / math.log(2.0), abs=1e-12)
         assert result.capacity_bits >= everything.probs @ div / math.log(2.0) - 1e-12
         assert mutual_information(result.pmf, spec, costs) == pytest.approx(
             result.capacity_bits, abs=1e-12)
+        pricings.clear()
+        result = capacity(spec, costs)
+        assert result.converged and len(pricings) == result.iterations
+
+    @pytest.mark.parametrize("spec", _equal_mean_specs())
+    def test_every_exit_has_independent_images(self, spec):
+        # At max_iter or at convergence, the support returned has passed the
+        # pivots: its distinct-mean images are independent.
+        costs = cost_tensor(spec)
+        channel = _AssociatedChannel(spec, costs)
+        for max_iter in range(1, 7):
+            support = np.flatnonzero(capacity(spec, costs, max_iter=max_iter).pmf.probs)
+            assert len(support) <= spec.m * spec.q - spec.q + 1
+            assert _null_space(channel.image @ _incidence(support, spec.m, spec.q)).size == 0
 
     def test_support_beyond_the_bound_raises(self, monkeypatch):
         spec = binary_spec(noise_power=0.5)
         everything = JointPmf.uniform(2, 2)
         monkeypatch.setattr(optimize, "solve_uniform_lp",
                             lambda c: LpSolution(everything, 0.0, 0, 4, np.zeros((2, 2))))
-        monkeypatch.setattr(optimize, "_independent",
-                            lambda channel, support, p_s, div: (support, p_s))
+        monkeypatch.setattr(optimize, "_independent", lambda channel, support, p_s, div: (
+            support, p_s, _incidence(support, channel.m, channel.q)))
         with pytest.raises(RuntimeError, match="beyond MQ - Q \\+ 1"):
             capacity(spec, cost_tensor(spec), max_iter=1)
 

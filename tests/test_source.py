@@ -102,3 +102,45 @@ def test_no_cli_command_loads_scipy(tmp_path):
         timeout=60,
     )
     assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+
+
+def _top_level_names(tree: ast.Module) -> list[tuple[int, str]]:
+    """(statement index, name) of each function, class and constant the
+    module defines at its top level."""
+    found = []
+    for k, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((k, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(k, t.id) for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_every_top_level_name_is_used():
+    # A refactor that leaves a helper, class or constant behind with no
+    # caller fails here: each must be referenced in the package (by name or
+    # as a module attribute, outside its own definition) or exported by
+    # __init__.py.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert trees, f"no package sources under {SRC}"
+    exported = {alias.asname or alias.name
+                for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    used = {}  # name -> the (module, statement index) pairs that use it
+    for name, tree in trees.items():
+        for k, stmt in enumerate(tree.body):
+            for node in ast.walk(stmt):
+                ref = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                       else node.attr if isinstance(node, ast.Attribute) else None)
+                if ref is not None:
+                    used.setdefault(ref, set()).add((name, k))
+    orphans = [
+        f"{name}:{defined}"
+        for name, tree in trees.items()
+        for k, defined in _top_level_names(tree)
+        if defined != "__all__" and defined not in exported
+        and not used.get(defined, set()) - {(name, k)}
+    ]
+    assert orphans == [], f"top-level names nothing uses: {orphans}"
