@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import AssociatedSymbol, ChannelSpec, JointPmf, MarginalSet, marginals_of
+from .model import (AssociatedSymbol, ChannelSpec, JointPmf, MarginalSet,
+                    check_symbol_budget, marginals_of)
 
 LN2 = math.log(2.0)
 
@@ -354,8 +355,10 @@ def cost_tensor(spec: ChannelSpec) -> CostTensor:
 
     Symbol t's mixture has means x_{i_j} + s_j and weights r_j; all M^Q
     mixtures go through the cluster split, so each distinct cluster shape
-    is integrated once, on its own grid.
+    is integrated once, on its own grid. Raises BudgetExceededError beyond
+    the dense-storage cap (`model.check_symbol_budget`).
     """
+    check_symbol_budget(spec)
     sigma = _sigma(spec)
     shape = (spec.m,) * spec.q
     letters = np.stack(np.unravel_index(np.arange(spec.num_symbols), shape), axis=-1)

@@ -22,8 +22,15 @@ import numpy as np
 # support; solver outputs carry rounding noise well below it.
 SUPPORT_THRESHOLD = 1e-9
 
-# Dense M^Q storage cap; every solver here is dense.
+# Dense M^Q storage cap, checked by `check_symbol_budget` wherever a spec's
+# symbols are built: every solver here is dense.
 _MAX_DENSE_SYMBOLS = 10**7
+
+# Size budget, 2^24 elements (128 MiB of float64), of the capacity solver's
+# nodes x MQ component table and of `simulate`'s workspace. The LPs keep
+# their MQ constraints times M^Q columns within it too, as a size rule: the
+# simplex prices from the cost tensor and never forms that matrix.
+DENSE_ELEMENTS_MAX = 1 << 24
 
 # One input letter of the associated channel: (i_1, ..., i_Q) with each
 # i_q in 1..M, meaning "transmit x_{i_q} when the interference is s_q".
@@ -79,11 +86,6 @@ class ChannelSpec:
         pn = float(self.noise_power)
         if not (math.isfinite(pn) and pn >= 0.0):
             raise ValueError("noise_power: must be a finite nonnegative real")
-        if len(x) ** len(s) > _MAX_DENSE_SYMBOLS:
-            raise ValueError(
-                f"instance has {len(x)}^{len(s)} associated symbols, beyond the "
-                f"dense-storage cap of {_MAX_DENSE_SYMBOLS}"
-            )
         # Keep levels sorted ascending; the zero-error construction relies on it.
         order = sorted(range(len(s)), key=lambda j: s[j])
         object.__setattr__(self, "constellation", x)
@@ -136,8 +138,21 @@ def noise_power_for_snr_db(constellation, snr_db: float) -> float:
     return noise
 
 
+def check_symbol_budget(spec: ChannelSpec) -> None:
+    """Raise BudgetExceededError if the spec's M^Q associated symbols exceed
+    the dense-storage cap. Specs themselves take any M and Q: `noisefree` and
+    `simulate` never build the M^Q symbols."""
+    if spec.num_symbols > _MAX_DENSE_SYMBOLS:
+        raise BudgetExceededError(
+            f"instance has {spec.m}^{spec.q} associated symbols, beyond the "
+            f"dense-storage cap of {_MAX_DENSE_SYMBOLS}"
+        )
+
+
 def enumerate_symbols(spec: ChannelSpec) -> list[AssociatedSymbol]:
-    """All M^Q associated symbols in lexicographic order of (i_1, ..., i_Q)."""
+    """All M^Q associated symbols in lexicographic order of (i_1, ..., i_Q).
+    Raises BudgetExceededError beyond the dense-storage cap."""
+    check_symbol_budget(spec)
     return list(itertools.product(range(1, spec.m + 1), repeat=spec.q))
 
 

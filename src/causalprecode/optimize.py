@@ -34,6 +34,7 @@ import numpy as np
 
 from . import entropy as _entropy
 from .model import (
+    DENSE_ELEMENTS_MAX,
     BudgetExceededError,
     ChannelSpec,
     JointPmf,
@@ -54,11 +55,6 @@ _BLAND_DEGENERATE_PER_ROW = 10
 # column by more than _ETA_RESIDUAL_TOL.
 _REFACTOR_PIVOTS = 64
 _ETA_RESIDUAL_TOL = 1e-9
-
-# Size budget, 2^24 (128 MiB of float64): the LPs' MQ constraints times M^Q
-# columns, and the capacity solver's nodes x MQ component table. Larger
-# instances are refused before any work.
-DENSE_ELEMENTS_MAX = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,8 +357,8 @@ def support_reduce(p: JointPmf, costs: CostTensor) -> LpSolution:
 
 
 # Means of the component table closer than this many noise sigmas count as
-# one mean, and elimination pivots of the support's distinct-mean image
-# below this fraction of its largest entry count as zero.
+# one mean, and singular values of the support's distinct-mean image at most
+# this fraction of its largest count as zero.
 _MEAN_MERGE_SIGMAS = 1e-9
 _IMAGE_RANK_TOL = 1e-9
 # A line search accepts a step once the slope there is within this fraction
@@ -507,39 +503,17 @@ def _ratio_bound(p_s: np.ndarray, d: np.ndarray) -> float:
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
-    """Columns spanning the null space of `a`, by Gauss-Jordan elimination
-    with partial pivoting; pivots below _IMAGE_RANK_TOL of the largest entry
-    count as zero. (Elimination, not an SVD: the LU solver is already loaded.)"""
-    a = a.astype(float)
-    rows, cols = a.shape
-    tiny = _IMAGE_RANK_TOL * np.abs(a).max(initial=0.0)
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        p = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[p, c]) <= tiny:
-            continue
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        a[r] /= a[r, c]
-        f = a[:, c].copy()
-        f[r] = 0.0  # row r itself is left as it is
-        a -= f[:, None] * a[r]
-        pivots.append(c)
-    free = [c for c in range(cols) if c not in pivots]
-    null = np.zeros((cols, len(free)))
-    null[free, np.arange(len(free))] = 1.0
-    null[pivots] = -a[: len(pivots)][:, free]
-    return null
+    """Orthonormal columns spanning the null space of `a`: its right singular
+    vectors whose singular values are at most _IMAGE_RANK_TOL of the largest."""
+    _, sv, vt = np.linalg.svd(a)
+    return vt[np.count_nonzero(sv > _IMAGE_RANK_TOL * sv.max(initial=0.0)):].T
 
 
 def _pivot(support: np.ndarray, p_s: np.ndarray, d_s: np.ndarray, null: np.ndarray):
     """Move to the boundary along the null space of the support's
     distinct-mean images, where p_Y is constant and I linear: along the
     projection of D there (uphill), or any null direction where D is flat."""
-    d = null @ np.linalg.solve(null.T @ null, null.T @ d_s)
+    d = null @ (null.T @ d_s)
     hi = _ratio_bound(p_s, d)
     if hi == np.inf:  # D is flat there
         d = null[:, 0]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BudgetExceededError, ChannelSpec, PrecoderCode, snr_db_of
+from .model import DENSE_ELEMENTS_MAX, BudgetExceededError, ChannelSpec, PrecoderCode, snr_db_of
 
 _DRAWS_PER_TRIAL = 4  # one Philox 4x64 block: message, state, two for the noise
 # Trials per batch. A workspace holds the (M*Q, batch) exponent block, 128 kB
@@ -205,13 +205,19 @@ def simulate(
 
     Deterministic given (seed, trials, code, spec); `workers` only
     parallelizes fixed batches and never changes the result. Raises
-    BudgetExceededError beyond _TRIALS_MAX trials.
+    BudgetExceededError beyond _TRIALS_MAX trials, or when a workspace's
+    messages x Q x batch exponent block exceeds DENSE_ELEMENTS_MAX, before
+    any workspace or thread is made.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if trials > _TRIALS_MAX:
         raise BudgetExceededError(f"{trials} trials, beyond the budget of {_TRIALS_MAX}")
     means = _check_inputs(code, spec)
+    block = code.m * spec.q * min(_BATCH, trials)
+    if block > DENSE_ELEMENTS_MAX:
+        raise BudgetExceededError(f"the workspace's messages x Q x batch = {block} exponents, "
+                                  f"beyond the budget of {DENSE_ELEMENTS_MAX}")
     jobs = [(s, min(_BATCH, trials - s)) for s in range(0, trials, _BATCH)]
     lanes = max(1, min(workers, len(jobs)))
 

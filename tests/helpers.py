@@ -257,9 +257,11 @@ def dense_marginal_lp(costs: CostTensor, targets: MarginalSet) -> tuple[LpSoluti
 
 
 def dense_null_space(a: np.ndarray) -> np.ndarray:
-    """`optimize._null_space` as it was before its one-broadcast
-    elimination: each step subtracts an outer product from the rows a
-    boolean mask selects, and rows are swapped even onto themselves."""
+    """The null space of `a` by Gauss-Jordan elimination with partial
+    pivoting, as `optimize._null_space` found it before the SVD: pivots at
+    most _IMAGE_RANK_TOL of the largest entry count as zero. Each step
+    subtracts an outer product from the rows a boolean mask selects. The
+    columns span the null space but are not orthonormal."""
     a = a.astype(float)
     rows, cols = a.shape
     tiny = _optimize._IMAGE_RANK_TOL * np.abs(a).max(initial=0.0)

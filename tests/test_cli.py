@@ -111,6 +111,30 @@ class TestNoisefreeCommand:
         code = parse_code_text(out_file.read_text())
         assert set(code.symbols) == {(1, 2), (2, 1)}
 
+    def test_any_q_beyond_the_dense_cap(self, tmp_path, capsys):
+        # PAM-4 with Q = 12 has 4^12 = 16.8M symbols, beyond the dense cap,
+        # but the construction is O(MQ); the commands that build the cost
+        # tensor exit 3 on their budgets before any work.
+        path = tmp_path / "q12.spec"
+        path.write_text(
+            "constellation = -3 -1 1 3\n"
+            "interference_levels = " + " ".join(repr(0.37 * k) for k in range(12)) + "\n"
+            "interference_probs = " + " ".join([repr(1 / 12)] * 12) + "\n"
+            "noise_power = 0\n"
+        )
+        assert run(["noisefree", str(path)]) == EXIT_OK
+        assert "disjointness: PASS" in capsys.readouterr().out
+        tracemalloc.start()
+        try:
+            codes = [run([cmd, str(path)] + extra) for cmd, extra in
+                     (("uniform", []), ("assign", []), ("capacity", []),
+                      ("sweep", ["--snr-db=0:10:5"]))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codes == [EXIT_BUDGET] * 4
+        assert peak < 1 << 20
+
     def test_budget_exit_code(self, tmp_path):
         # non-progression constellation with M=6 exceeds the search budget
         path = tmp_path / "big.spec"
@@ -206,6 +230,32 @@ class TestSimulateCommand:
                     "--trials", "1000000000000000"]) == EXIT_BUDGET
         assert "beyond the budget" in capsys.readouterr().err
 
+    def test_workspace_beyond_the_budget_fails_before_any_workspace_or_thread(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # M = 33, Q = 2 and 513 distinct messages: a batch of 2^14 trials
+        # would take 1,026 x 2^14 exponents, beyond 2^24. A run of 1,000
+        # trials takes 1,026,000 and goes ahead.
+        path = tmp_path / "m33.spec"
+        path.write_text(
+            "constellation = " + " ".join(str(i) for i in range(33)) + "\n"
+            "interference_levels = 0 0.5\n"
+            "interference_probs = 0.5 0.5\n"
+            "noise_power = 0.1\n"
+        )
+        code_file = tmp_path / "code.txt"
+        code_file.write_text("".join(f"{k // 33 + 1} {k % 33 + 1}\n" for k in range(513)))
+        argv = ["simulate", str(path), "--code", str(code_file), "--workers", "2"]
+        assert run(argv + ["--trials", "1000"]) == EXIT_OK
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the budget check")
+
+        monkeypatch.setattr(sim, "_Workspace", refuse)
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", refuse)
+        assert run(argv) == EXIT_BUDGET
+        assert "beyond the budget of 16777216" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     def test_noise_power_that_overflows_the_decoder_is_bad_input(
@@ -322,7 +372,7 @@ class TestBadInput:
         assert run(["sweep"]) == EXIT_BAD_INPUT  # missing required args
 
     def test_marginal_matrix_beyond_the_budget_fails_before_any_work(self, tmp_path, capsys):
-        # M = 16, Q = 5: 16^5 symbols pass the spec's cap, but the LP's MQ
+        # M = 16, Q = 5: 16^5 symbols are within the dense cap, but the LP's MQ
         # constraints times M^Q columns make 83.9M, beyond the budget, which
         # `assign` takes for Q != 2.
         path = tmp_path / "big.spec"

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from causalprecode import (
+    BudgetExceededError,
     ChannelSpec,
     JointPmf,
     MarginalSet,
     PrecoderCode,
     code_pmf,
+    cost_tensor,
+    entropy,
     enumerate_symbols,
     format_spec_text,
     marginals_of,
+    model,
     parse_spec_text,
     precode,
     symbol_from_rank,
@@ -56,14 +60,26 @@ class TestChannelSpec:
         with pytest.raises(ValueError, match=fragment):
             ChannelSpec(**base)
 
-    def test_dense_cap(self):
-        with pytest.raises(ValueError, match="dense-storage cap"):
-            ChannelSpec(
-                tuple(float(i) for i in range(10)),
-                tuple(float(i) for i in range(8)),
-                (0.125,) * 8,
-                1.0,
-            )
+    def test_dense_cap(self, monkeypatch):
+        # A spec takes any M and Q: `noisefree` and `simulate` never build
+        # its symbols. The two functions that build all M^Q of them refuse
+        # 10^8 before they allocate.
+        spec = ChannelSpec(
+            tuple(float(i) for i in range(10)),
+            tuple(float(i) for i in range(8)),
+            (0.125,) * 8,
+            1.0,
+        )
+        assert spec.num_symbols == 10**8
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("M^Q symbols built before the budget check")
+
+        monkeypatch.setattr(model.itertools, "product", refuse)
+        monkeypatch.setattr(entropy.np, "arange", refuse)
+        for build in (enumerate_symbols, cost_tensor):
+            with pytest.raises(BudgetExceededError, match="dense-storage cap"):
+                build(spec)
 
 
 class TestEnumeration:

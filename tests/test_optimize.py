@@ -505,9 +505,10 @@ class TestCapacity:
             assert np.linalg.matrix_rank(null) == null.shape[1]
         assert _null_space(np.eye(3)).shape == (3, 0)
 
-    def test_null_space_matches_the_masked_elimination(self):
+    def test_null_space_is_an_orthonormal_basis_of_the_eliminations(self):
         # Random 0/1 and real matrices, and the distinct-mean images of
-        # binary supports, whose columns repeat.
+        # binary supports, whose columns repeat: the SVD's basis has the
+        # elimination's column count, is orthonormal, and spans its space.
         rng = np.random.default_rng(13)
         mats = [rng.integers(0, 2, size=shape).astype(float)
                 for shape in [(3, 5), (6, 4), (7, 9), (1, 3), (5, 5)]]
@@ -517,7 +518,11 @@ class TestCapacity:
         mats += [channel.image @ _incidence(np.asarray(support), 2, 2)
                  for support in ([0, 1, 2, 3], [0, 3], [1, 2, 3])]
         for a in mats:
-            assert np.array_equal(_null_space(a), dense_null_space(a))
+            null, oracle = _null_space(a), dense_null_space(a)
+            assert null.shape == oracle.shape
+            assert np.abs(null.T @ null - np.eye(null.shape[1])).max(initial=0.0) <= 1e-12
+            basis = np.linalg.qr(oracle)[0]
+            assert np.abs(null @ null.T - basis @ basis.T).max(initial=0.0) <= 1e-12
 
     def test_pivot_moves_mass_without_moving_p_y(self):
         # Binary: (1,1) and (2,2) put the same means on the output as (1,2)
