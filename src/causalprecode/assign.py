@@ -3,8 +3,9 @@
 Forcing the joint pmf to put weight exactly 1/M on exactly M associated
 symbols turns the uniform-transmission LP into an axial Q-index assignment
 problem; Q = 2 is its bipartite case, and the uniform LP is its relaxation.
-One exact search serves every Q. Optimal duals u come from one Hungarian
-(Q = 2) or from the uniform LP, whose vertex, when it is an assignment, is
+One exact search serves every Q. Optimal duals u come from the uniform LP
+(`optimize.solve_uniform_lp`: one Hungarian at Q = 2, the simplex at any
+other Q), whose vertex, when it is an assignment (always, at Q = 2), is
 the optimum unless a reduced cost lies below round-off. An assignment
 totals sum(u) plus the reduced costs of its tuples, so only tuples of small
 reduced cost can lie within the tie tolerance, and no other tuple is tried
@@ -40,8 +41,8 @@ from .entropy import CostTensor
 # Budget of the branch and bound that a fractional LP vertex needs.
 _MAX_M = 8
 _MAX_Q = 4
-# Largest M for Q = 2: its Hungarian, and each one the tie pass falls back
-# to, is O(M^3) Python.
+# Largest M for Q = 2: each Hungarian the tie pass falls back to is O(M^3)
+# Python (the uniform LP's one Hungarian admits M <= 203).
 _MAX_M_Q2 = 128
 # Round-off allowance per term (MQ of them) of a reduced-cost sum, relative
 # to the largest cost or dual.
@@ -79,61 +80,6 @@ class Assignment:
         return PrecoderCode(self.tuples)
 
 
-def _hungarian(cost: np.ndarray) -> tuple[float, list[int], np.ndarray]:
-    """Minimum-cost perfect matching of a square matrix, O(n^3) with potentials.
-
-    Returns the matching's value (an exact `math.fsum` of its costs), the
-    column matched to each row, and the n x 2 table of row and column
-    potentials u, v: cost[i, j] - u[i] - v[j] is >= 0 up to round-off, and
-    0 on the matching, so u, v are optimal duals.
-    """
-    n = cost.shape[0]
-    cost = cost.tolist()  # nested floats: no NumPy row view and scalar per lookup
-    inf = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row assigned to column j (1-based, 0 = none)
-    for row in range(1, n + 1):
-        match[0] = row
-        j0 = 0
-        min_to = [inf] * (n + 1)
-        prev = [0] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = inf
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < min_to[j]:
-                    min_to[j] = cur
-                    prev[j] = j0
-                if min_to[j] < delta:
-                    delta = min_to[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    min_to[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = prev[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    col = [0] * n
-    for j in range(1, n + 1):
-        col[match[j] - 1] = j - 1
-    value = math.fsum(cost[i][col[i]] for i in range(n))
-    return value, col, np.column_stack([u[1:], v[1:]])
-
-
 def _without(avail: list[list[int]], combo: tuple[int, ...]) -> list[list[int]]:
     """The free indices per later coordinate once `combo` takes its own."""
     return [[i for i in free if i != c] for free, c in zip(avail, combo)]
@@ -166,11 +112,11 @@ def _bound(values: np.ndarray, row: int, avail: list[list[int]]):
     if sub.ndim == 1:
         return math.fsum(sub.tolist()), [()] * (n - row)
     if sub.ndim == 2:
-        value, col, _ = _hungarian(sub)
+        value, col, _ = _optimize._hungarian(sub)
         return value, [(avail[0][j],) for j in col]
     later = range(1, sub.ndim)
     return max(
-        _hungarian(sub.min(axis=tuple(a for a in later if a != k)))[0] for k in later
+        _optimize._hungarian(sub.min(axis=tuple(a for a in later if a != k)))[0] for k in later
     ), None
 
 
@@ -246,8 +192,8 @@ def _vertex_assignment(probs: np.ndarray, n: int, q: int) -> list[tuple[int, ...
 
 def check_budget(m: int, q: int) -> None:
     """Raise BudgetExceededError if `multidim_assignment` cannot take an M, Q
-    instance: Q = 2 needs M <= 128 (its Hungarian is O(M^3) Python), any
-    other Q the uniform LP's `check_marginal_budget`."""
+    instance: Q = 2 needs M <= 128 (the tie pass may fall back to O(M^3)
+    Python Hungarians), any other Q the uniform LP's `check_marginal_budget`."""
     if q != 2:
         _optimize.check_marginal_budget(m, q)
     elif m > _MAX_M_Q2:
@@ -262,9 +208,10 @@ def multidim_assignment(
 ) -> Assignment:
     """Exact minimum-cost axial assignment of a (M,)*Q cost tensor, any Q.
 
-    Duals u come from one Hungarian for Q = 2, else from the uniform LP
-    (`lp`, if the caller has solved it on `costs`), whose vertex, if an
-    assignment, is the candidate optimum. Any assignment A totals
+    Duals u come from the uniform LP (`lp`, if the caller has solved it on
+    `costs`, else `optimize.solve_uniform_lp`: one Hungarian for Q = 2, the
+    simplex otherwise), whose vertex, if an assignment (always, for Q = 2),
+    is the candidate optimum. Any assignment A totals
     sum(u) + sum over A of rc_t = h_t - sum_j u[t_j, j], so one totalling at
     most T uses only tuples with
     rc_t <= T - sum(u) - (M - 1) min(0, min rc), up to a round-off margin.
@@ -285,13 +232,9 @@ def multidim_assignment(
     values = costs.values
     n, q = values.shape[0], values.ndim
     check_budget(n, q)
-    if q == 2:
-        _, col, duals = _hungarian(values)
-        witness = [(j,) for j in col]
-    else:
-        if lp is None:
-            lp = _optimize.solve_uniform_lp(costs)
-        duals, witness = lp.duals, _vertex_assignment(lp.pmf.probs, n, q)
+    if lp is None:
+        lp = _optimize.solve_uniform_lp(costs)
+    duals, witness = lp.duals, _vertex_assignment(lp.pmf.probs, n, q)
     reduced = values - _optimize._dual_sums(duals).reshape(values.shape)
     dual_sum = math.fsum(duals.ravel().tolist())
     lowest = min(0.0, float(reduced.min()))

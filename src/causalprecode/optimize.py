@@ -1,17 +1,21 @@
 """Linear programs over the associated channel, and its capacity.
 
-Two LPs share one engine: minimize sum h_{i_1...i_Q} p_{i_1...i_Q} subject to
-fixed per-state marginals (the general problem), and the same with all
-marginals uniform 1/M (uniform transmission). The constraint system has
-MQ rows of which MQ - Q + 1 are independent; solving on a basis of that
-size yields optima with support at most MQ - Q + 1. The engine is a
+Two LPs: minimize sum h_{i_1...i_Q} p_{i_1...i_Q} subject to fixed
+per-state marginals (the general problem), and the same with all marginals
+uniform 1/M (uniform transmission). The constraint system has MQ rows of
+which MQ - Q + 1 are independent; solving on a basis of that size yields
+optima with support at most MQ - Q + 1. The general problem's engine is a
 one-phase revised simplex from a northwest-corner basis. A symbol touches
 only Q marginals, so the simplex prices from the cost tensor and an M x Q
 table of duals; marginals are letter-major (i*Q + j for letter i, state
 j) here and in the capacity solver. It keeps an explicit basis inverse,
 updated by one eta transform per pivot and refactorized every 64 pivots,
 and at exit solves the final basis afresh, so the pmf and duals it returns
-come from one clean factorization.
+come from one clean factorization. The uniform LP at Q = 2 is the
+assignment problem, whose polytope (Birkhoff's) has the permutation
+matrices for vertices, so one Hungarian solves it exactly (Kuhn 1955), and
+its potentials are the M x 2 dual table; at any other Q it is the simplex
+with uniform targets.
 
 Capacity is computed on the channel whose outputs are the nodes of
 `entropy._output_grid`: the MQ output means cut into clusters 20 sigma
@@ -55,6 +59,9 @@ _BLAND_DEGENERATE_PER_ROW = 10
 # column by more than _ETA_RESIDUAL_TOL.
 _REFACTOR_PIVOTS = 64
 _ETA_RESIDUAL_TOL = 1e-9
+# Path slacks within this many nats of the least tie in `_hungarian`, so h_t
+# equal up to rounding match alike on any BLAS.
+_MATCH_TIE_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +70,8 @@ class LpSolution:
 
     pmf: JointPmf
     objective: float  # minimized sum h*p, nats
-    iterations: int
-    basis_size: int
+    iterations: int  # simplex pivots; 0 on the uniform LP's Q = 2 route (one Hungarian)
+    basis_size: int  # MQ - Q + 1 symbols in a basis of the vertex `pmf`
     duals: np.ndarray  # M x Q: reduced cost of t is h_t - sum_j duals[t_j, j]
 
 
@@ -92,7 +99,13 @@ def _check_size(what: str, size: int) -> None:
 
 def check_marginal_budget(m: int, q: int) -> None:
     """Raise BudgetExceededError if the marginal LP is too large: its MQ
-    constraints times M^Q columns exceed DENSE_ELEMENTS_MAX."""
+    constraints times M^Q columns exceed DENSE_ELEMENTS_MAX.
+
+    At Q = 2 the uniform LP is one O(M^3) Hungarian, and the budget admits
+    M <= 203. `uniform` on random 128/2 takes 0.09-0.13 s (0.28-0.30 s by
+    the simplex) and on random 203/2 0.23-0.29 s (1.24-1.30 s), cost tensor
+    included (2-core VM, BLAS at 1 thread).
+    """
     _check_size(f"the LP for M={m}, Q={q} has MQ x M^Q = {m * q} constraints x {m**q} columns",
                 m * q * m**q)
 
@@ -157,6 +170,78 @@ def _dual_sums(table: np.ndarray) -> np.ndarray:
     for j in range(q - 2, -1, -1):
         sums = np.add.outer(table[:, j], sums).reshape(-1)
     return sums
+
+
+def _hungarian(cost: np.ndarray) -> tuple[float, list[int], np.ndarray]:
+    """Minimum-cost perfect matching of a square matrix, O(n^3): one
+    shortest augmenting path per row, Dijkstra on the slacks
+    cost[i, j] - u[i] - v[j] under row and column potentials u, v (Kuhn
+    1955; the row-by-row form of Jonker and Volgenant 1987).
+
+    Returns the matching's value (an exact `math.fsum` of its costs), the
+    column matched to each row, and the n x 2 table of potentials u, v.
+
+    Tie rule: path slacks within _MATCH_TIE_TOL of the least are tied. Each
+    step of a search reaches the lowest-index free column among the tied
+    ones, else the lowest-index tied one, at the least slack, through the
+    earliest-reached row whose slack to it is within _MATCH_TIE_TOL of that
+    column's own. Costs equal up to rounding therefore give the same
+    matching, and a constant matrix takes O(n^2). Every slack stays >= 0 up
+    to round-off, and a matched pair's is at most 2 _MATCH_TIE_TOL, so u, v
+    are feasible duals and the matching is optimal within 2n _MATCH_TIE_TOL.
+    """
+    n, tol = cost.shape[0], _MATCH_TIE_TOL
+    rows = cost.tolist()  # nested floats: no NumPy row view and scalar per lookup
+    u = [0.0] * n
+    v = [0.0] * n
+    row_of = [-1] * n  # the row matched to each column, -1 if none
+    col_of = [-1] * n  # the column matched to each row
+    via = [0] * n  # the row through which a search reached each column
+    for start in range(n):
+        slack = [math.inf] * n  # least path slack to each column not yet reached
+        remaining = list(range(n))  # columns not yet reached, ascending
+        tree = [(start, 0.0)]  # rows reached, with their path slacks, in order
+        reached = []  # the columns through which tree[1:] were reached
+        least = 0.0
+        i = start
+        while True:
+            row, base = rows[i], least - u[i]
+            for j in remaining:
+                cur = base + row[j] - v[j]
+                if cur < slack[j]:
+                    slack[j] = cur
+            least = min([slack[j] for j in remaining])
+            reach, j = least + tol, -1
+            for col in remaining:
+                if slack[col] <= reach:
+                    if row_of[col] < 0:
+                        j = col
+                        break
+                    if j < 0:
+                        j = col
+            remaining.remove(j)
+            reach, vj = slack[j] + tol, v[j]
+            for k, d in tree:
+                if d - u[k] + rows[k][j] - vj <= reach:
+                    break
+            via[j] = k
+            i = row_of[j]
+            if i < 0:
+                break
+            reached.append(j)
+            tree.append((i, least))
+        for k, d in tree:
+            u[k] += least - d
+        for col, (_, d) in zip(reached, tree[1:]):
+            v[col] -= least - d
+        while True:  # augment along the path back to `start`
+            k = via[j]
+            row_of[j] = k
+            col_of[k], j = j, col_of[k]
+            if k == start:
+                break
+    value = math.fsum(rows[i][col_of[i]] for i in range(n))
+    return value, col_of, np.column_stack([u, v])
 
 
 def _northwest_corner(per_state: np.ndarray) -> list[int]:
@@ -339,11 +424,31 @@ def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
 
 
 def solve_uniform_lp(costs: CostTensor) -> LpSolution:
-    """Uniform transmission: solve_marginal_lp with every marginal = 1/M.
+    """Uniform transmission: minimize sum h*p with every marginal = 1/M.
+
+    At Q = 2 this is the assignment problem, solved by one `_hungarian`
+    (Kuhn 1955; its polytope's vertices are the permutation matrices): the
+    pmf is exactly 1/M on the matched pairs, the objective the `math.fsum`
+    of their costs over M, the duals the row and column potentials, and
+    `iterations` 0. The tie rule is the Hungarian's (`_hungarian`): slacks
+    within 1e-13 nats tie, and go to the lowest free column, so costs equal
+    up to rounding give the same vertex. The duals pass the simplex's
+    checks: every reduced cost is >= 0 up to round-off, and at most 2e-13 on
+    the support, so the objective is optimal within 2e-13 nats.
+    At any other Q, `solve_marginal_lp` with uniform targets. Raises
+    BudgetExceededError as `check_marginal_budget` does, before any work.
 
     The rate it achieves is h(Y) at uniform marginals minus `objective`.
     """
-    return solve_marginal_lp(costs, MarginalSet.uniform(costs.m, costs.q))
+    m, q = costs.m, costs.q
+    if q != 2:
+        return solve_marginal_lp(costs, MarginalSet.uniform(m, q))
+    check_marginal_budget(m, q)
+    value, col, duals = _hungarian(costs.values)
+    probs = np.zeros(m * m)
+    probs[np.arange(m) * m + col] = 1.0 / m
+    return LpSolution(pmf=JointPmf(m, q, probs), objective=value / m, iterations=0,
+                      basis_size=2 * m - 1, duals=duals)
 
 
 def support_reduce(p: JointPmf, costs: CostTensor) -> LpSolution:

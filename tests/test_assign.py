@@ -20,7 +20,8 @@ from causalprecode import (
     optimize,
     solve_uniform_lp,
 )
-from causalprecode.assign import _bound, _hungarian, _vertex_assignment, check_budget
+from causalprecode.assign import _bound, _vertex_assignment, check_budget
+from causalprecode.optimize import _hungarian
 from helpers import (
     binary_spec,
     exhaustive_assignment_min,

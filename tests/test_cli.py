@@ -292,13 +292,13 @@ class TestCapacityCommand:
         spec = cli.load_spec(path)
         result = optimize.capacity(spec, entropy.cost_tensor(spec))
         solved = []
-        solve = optimize.solve_marginal_lp
+        solve = optimize.solve_uniform_lp
 
-        def counted(costs, targets):
-            solved.append(targets)
-            return solve(costs, targets)
+        def counted(costs):
+            solved.append(costs)
+            return solve(costs)
 
-        monkeypatch.setattr(optimize, "solve_marginal_lp", counted)
+        monkeypatch.setattr(optimize, "solve_uniform_lp", counted)
         assert run(["capacity", path]) == EXIT_OK
         assert len(solved) == 1  # the uniform-LP start; no support_reduce
         lines = capsys.readouterr().out.splitlines()
@@ -556,6 +556,26 @@ class TestSweepCommand:
         assert run(argv) == EXIT_OK
         assert len(calls) == 5 + 10
         assert capsys.readouterr().out == once
+
+    def test_no_simplex_at_q2(self, binary_spec_file, tmp_path, monkeypatch):
+        # Each point's uniform LP is one Hungarian, which the assignment
+        # reuses: a 5/2 sweep makes one per point, and no Q = 2 sweep runs
+        # the simplex, with --with-ba either.
+        path = tmp_path / "rand5x2.spec"
+        path.write_text(format_spec_text(random_spec(np.random.default_rng(0), 5, 2, 0.05)))
+        simplex, matchings = [], []
+        solve, hungarian = optimize.solve_marginal_lp, optimize._hungarian
+        monkeypatch.setattr(
+            optimize, "solve_marginal_lp", lambda *args: simplex.append(1) or solve(*args)
+        )
+        monkeypatch.setattr(
+            optimize, "_hungarian", lambda *args: matchings.append(1) or hungarian(*args)
+        )
+        assert run(["sweep", str(path), "--snr-db=0:20:5"]) == EXIT_OK
+        assert len(matchings) == 5
+        for spec_path in (str(path), binary_spec_file()):
+            assert run(["sweep", spec_path, "--snr-db=0:20:5", "--with-ba"]) == EXIT_OK
+        assert simplex == []
 
     def test_range_beyond_the_point_budget_fails_before_any_work(
         self, binary_spec_file, monkeypatch, capsys

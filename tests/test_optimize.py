@@ -36,6 +36,7 @@ from helpers import (
     dense_marginal_lp,
     dense_null_space,
     enumerate_vertex_objectives,
+    exhaustive_assignment_min,
     ipf_feasible_points,
     marginal_constraint_matrix,
     random_spec,
@@ -229,8 +230,10 @@ class TestEtaInverse:
         for seed in range(3):
             flips = np.random.default_rng(seed).choice([-1, 0, 1], size=values.shape)
             costs = CostTensor(values * (1 + 4e-16 * flips))
-            oracle, _ = dense_marginal_lp(costs, MarginalSet.uniform(m, q))
-            _assert_same_lp(solve_uniform_lp(costs), oracle)
+            targets = MarginalSet.uniform(m, q)
+            oracle, _ = dense_marginal_lp(costs, targets)
+            # The simplex itself: at Q = 2 `solve_uniform_lp` takes a Hungarian.
+            _assert_same_lp(solve_marginal_lp(costs, targets), oracle)
 
     def test_matches_the_dense_oracle_where_the_inverse_drifts(self):
         # Random 32/3 takes 904 pivots; with basic values taken from the
@@ -261,8 +264,9 @@ class TestEtaInverse:
     def test_refactorization_interval_changes_nothing(self, monkeypatch, interval):
         monkeypatch.setattr(optimize, "_REFACTOR_PIVOTS", interval)
         for costs in _ladder_costs(0.05)[4:]:
-            oracle, _ = dense_marginal_lp(costs, MarginalSet.uniform(costs.m, costs.q))
-            _assert_same_lp(solve_uniform_lp(costs), oracle)
+            targets = MarginalSet.uniform(costs.m, costs.q)
+            oracle, _ = dense_marginal_lp(costs, targets)
+            _assert_same_lp(solve_marginal_lp(costs, targets), oracle)
 
     def test_bland_path_matches_the_dense_oracle(self, monkeypatch):
         # At the default threshold the ladder never reaches Bland's rule; at
@@ -326,6 +330,67 @@ class TestUniformLp:
             sol = solve_uniform_lp(CostTensor(values * (1 + 4e-16 * flips)))
             assert sol.pmf.support() == base.pmf.support()
             assert sol.iterations == base.iterations
+
+
+def _q2_costs():
+    """Q = 2 cost tensors: the ladder's random 32/2 at both noise powers,
+    random M/2 for M = 2..32, and evenly spaced points and levels at high
+    SNR, whose h_t tie exactly."""
+    costs = [c for noise in (0.05, 0.5) for c in _ladder_costs(noise) if c.q == 2]
+    rng = np.random.default_rng(29)
+    costs += [cost_tensor(random_spec(rng, m, 2, noise))
+              for m in range(2, 33) for noise in (0.05, 0.5)]
+    costs += [cost_tensor(ChannelSpec(tuple(float(2 * i - m + 1) for i in range(m)),
+                                      (0.0, 1.0), (0.5, 0.5), 0.01)) for m in (2, 4, 8, 16)]
+    return costs
+
+
+class TestQ2Route:
+    """At Q = 2 `solve_uniform_lp` is one Hungarian: an optimal vertex of
+    the simplex's LP, 1/M on a permutation, with duals that pass the
+    simplex's reduced-cost checks."""
+
+    def test_agrees_with_the_simplex_oracle(self):
+        for costs in _q2_costs():
+            m = costs.m
+            sol = solve_uniform_lp(costs)
+            oracle, _ = dense_marginal_lp(costs, MarginalSet.uniform(m, 2))
+            # The simplex stops once no reduced cost is below -1e-10, so its
+            # objective may lie above the optimum (by 1.2e-11 on one random
+            # 6/2 here); the Hungarian's never does by more than 2e-13.
+            assert -1e-10 <= sol.objective - oracle.objective <= 1e-12
+            if m <= 7:
+                best = exhaustive_assignment_min(costs.values)
+                assert abs(sol.objective - best / m) <= 1e-12
+            assert sol.iterations == 0
+            ranks = np.flatnonzero(sol.pmf.probs)
+            assert np.all(sol.pmf.probs[ranks] == 1.0 / m)
+            rows, cols = np.divmod(ranks, m)
+            assert rows.tolist() == list(range(m)) and sorted(cols.tolist()) == list(range(m))
+            assert sol.objective == math.fsum(costs.values[rows, cols].tolist()) / m
+            rc = costs.values - sol.duals[:, :1] - sol.duals[:, 1:].T
+            assert rc.min() >= -1e-13  # round-off only: the duals are feasible
+            assert np.abs(rc[rows, cols]).max() <= 1e-12
+            assert sol.objective == pytest.approx(float(sol.duals.sum()) / m, abs=1e-12)
+
+    def test_ties_take_the_lowest_columns(self):
+        # Costs tied exactly or up to rounding: each row's search reaches the
+        # lowest free tied column first, so the matching is the identity.
+        rng = np.random.default_rng(3)
+        for m in (1, 2, 5, 12):
+            for values in (np.zeros((m, m)), 1.0 + 1e-15 * rng.normal(size=(m, m))):
+                sol = solve_uniform_lp(CostTensor(values))
+                assert sol.pmf.support() == [(i, i) for i in range(1, m + 1)]
+
+    def test_budget_admits_m_up_to_203(self, monkeypatch):
+        optimize.check_marginal_budget(203, 2)
+
+        def no_work(*args):
+            raise AssertionError("the Hungarian started")
+
+        monkeypatch.setattr(optimize, "_hungarian", no_work)
+        with pytest.raises(BudgetExceededError, match="beyond the budget"):
+            solve_uniform_lp(CostTensor(np.zeros((204, 204))))
 
 
 def _ba_oracle_specs():
