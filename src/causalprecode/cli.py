@@ -142,7 +142,7 @@ def sweep_point(
     chosen = max(sorted(rates), key=lambda aid: rates[aid])
     ba = None
     if with_ba:
-        ba = _optimize.capacity(point, costs=costs)
+        ba = _optimize.capacity(point, costs=costs, lp=lp)
     return SweepRow(
         snr_db=snr_db,
         rate_per_assignment=rates,
@@ -370,11 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: `run` may be called many times in one process, and
+# each call parses into a fresh namespace.
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
     """Entry point returning an exit code (0/2/3/4)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

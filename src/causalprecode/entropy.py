@@ -16,8 +16,9 @@ cluster shape, so the cost does not grow with SNR. The capacity solver's
 output grid, `_output_grid`, is cut the same way: the MQ output means split
 into clusters, each on its own panels in sigma units. Every panel is one
 sigma wide and carries 16 Gauss-Legendre nodes, a rule chosen by a scan
-against 64 nodes per sigma/2 (see _NODES_PER_PANEL). No function takes a
-grid.
+against 64 nodes per sigma/2 (see _NODES_PER_PANEL). The rule's nodes and
+weights on [-1, 1] are read-only module arrays, computed once at import.
+No function takes a grid.
 
 All internal entropies are in nats; conversion to bits happens only at API
 boundaries.
@@ -25,7 +26,6 @@ boundaries.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +55,11 @@ _SPLIT_SIGMAS = 2 * _WINDOW_SIGMAS
 _PANEL_SIGMAS = 1.0
 _NODES_PER_PANEL = 16
 
+# That rule's nodes and weights on [-1, 1], once per process.
+_RULE_NODES, _RULE_WEIGHTS = leggauss(_NODES_PER_PANEL)
+_RULE_NODES.flags.writeable = False
+_RULE_WEIGHTS.flags.writeable = False
+
 # Entropy of a unit-variance Gaussian, (1/2) ln(2 pi e), in nats.
 _STANDARD_ENTROPY = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -80,15 +85,6 @@ def gaussian_entropy(variance: float) -> float:
     if variance <= 0.0:
         raise ValueError("variance must be positive")
     return 0.5 * math.log(2.0 * math.pi * math.e * variance)
-
-
-@functools.lru_cache(maxsize=4)
-def _reference_rule(nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use."""
-    rule = leggauss(nodes_per_panel)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
 
 
 def _panels(width: np.ndarray) -> np.ndarray:
@@ -179,9 +175,8 @@ def _standard_entropies(offsets: np.ndarray, shares: np.ndarray, panels: np.ndar
     panels, rows x panels x max(components, nodes) at most _BLOCK_ELEMENTS;
     a row's panels beyond its own grid are masked out.
     """
-    ref_x, ref_w = _reference_rule(_NODES_PER_PANEL)
     half = 0.5 * _PANEL_SIGMAS
-    r, weights = half * ref_x, half * ref_w
+    r, weights = half * _RULE_NODES, half * _RULE_WEIGHTS
     width = max(offsets.shape[1], r.size)
     shares = shares / math.sqrt(2.0 * math.pi)
     order = np.argsort(-panels, kind="stable")
@@ -339,13 +334,12 @@ def _output_grid(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     sigma away.
     """
     means, lowest, panels = _output_clusters(spec)
-    ref_x, ref_w = _reference_rule(_NODES_PER_PANEL)
     half = 0.5 * _PANEL_SIGMAS
     cluster = np.repeat(np.arange(panels.size), panels)
     index = np.arange(cluster.size) - np.repeat(np.cumsum(panels) - panels, panels)
     centres = -_WINDOW_SIGMAS + half + _PANEL_SIGMAS * index
-    nodes = (centres[:, None] + half * ref_x).reshape(-1)
-    weights = np.tile(half * ref_w, cluster.size)
+    nodes = (centres[:, None] + half * _RULE_NODES).reshape(-1)
+    weights = np.tile(half * _RULE_WEIGHTS, cluster.size)
     offsets = (means - lowest[:, None]) / _sigma(spec)
     return nodes, weights, np.repeat(cluster, _NODES_PER_PANEL), offsets
 

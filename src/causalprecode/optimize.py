@@ -71,7 +71,6 @@ class LpSolution:
     pmf: JointPmf
     objective: float  # minimized sum h*p, nats
     iterations: int  # simplex pivots; 0 on the uniform LP's Q = 2 route (one Hungarian)
-    basis_size: int  # MQ - Q + 1 symbols in a basis of the vertex `pmf`
     duals: np.ndarray  # M x Q: reduced cost of t is h_t - sum_j duals[t_j, j]
 
 
@@ -418,7 +417,6 @@ def solve_marginal_lp(costs: CostTensor, targets: MarginalSet) -> LpSolution:
         pmf=JointPmf(m, q, x),
         objective=objective,
         iterations=iterations,
-        basis_size=len(basis),
         duals=dual_table,
     )
 
@@ -448,7 +446,7 @@ def solve_uniform_lp(costs: CostTensor) -> LpSolution:
     probs = np.zeros(m * m)
     probs[np.arange(m) * m + col] = 1.0 / m
     return LpSolution(pmf=JointPmf(m, q, probs), objective=value / m, iterations=0,
-                      basis_size=2 * m - 1, duals=duals)
+                      duals=duals)
 
 
 def support_reduce(p: JointPmf, costs: CostTensor) -> LpSolution:
@@ -674,12 +672,14 @@ def capacity(
     costs: CostTensor,
     tol: float = 1e-7,
     max_iter: int = 1000,
+    lp: LpSolution | None = None,
 ) -> CapacityResult:
     """Capacity of the associated channel with outputs on the nodes of
     `entropy._output_grid`, given `costs`, the cost tensor of `spec`.
 
     Maximizes the concave I(p) = sum_t p_t D_t over input pmfs by an active
-    set method, starting from the uniform-LP solution. Every iteration
+    set method, starting from the uniform-LP solution (`lp`, if the caller
+    has solved it on `costs`, else `solve_uniform_lp`). Every iteration
     prices all symbols (D_t as in `_AssociatedChannel.prices`), then pivots
     while the support's distinct-mean images are dependent: the output
     density is constant along their null space, so I is linear there, a
@@ -700,16 +700,18 @@ def capacity(
     pivots, so the returned pmf has independent distinct-mean images, hence
     at most MQ - Q + 1 symbols; a larger support raises RuntimeError.
     `iterations` counts the pricings. Raises ValueError if
-    `check_capacity_options` fails or `costs` does not have the spec's M and
-    Q, and BudgetExceededError if `check_capacity_budget` fails, all before
-    any work.
+    `check_capacity_options` fails or `costs` or `lp` does not have the
+    spec's M and Q, and BudgetExceededError if `check_capacity_budget`
+    fails, all before any work.
     """
     check_capacity_options(tol, max_iter)
     check_capacity_budget(spec)
     if (costs.m, costs.q) != (spec.m, spec.q):
         raise ValueError("cost tensor shape does not match the channel spec")
+    if lp is not None and (lp.pmf.m, lp.pmf.q) != (spec.m, spec.q):
+        raise ValueError("uniform LP shape does not match the channel spec")
     channel = _AssociatedChannel(spec, costs)
-    start = solve_uniform_lp(costs).pmf.probs
+    start = (solve_uniform_lp(costs) if lp is None else lp).pmf.probs
     support = np.flatnonzero(start > 0.0)
     p_s = start[support] / start[support].sum()
     converged = False

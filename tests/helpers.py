@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from causalprecode import (
     ChannelSpec,
@@ -116,7 +117,7 @@ class QuadratureGrid:
 
 def grid_nodes(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     """Flat (nodes, weights) arrays of a composite grid, panel by panel."""
-    ref_x, ref_w = _entropy._reference_rule(grid.nodes_per_panel)
+    ref_x, ref_w = leggauss(grid.nodes_per_panel)
     edges = np.linspace(grid.lo, grid.hi, grid.panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -252,7 +253,7 @@ def dense_marginal_lp(costs: CostTensor, targets: MarginalSet) -> tuple[LpSoluti
     if abs(total - 1.0) > 1e-9:
         x = x / total
     sol = LpSolution(pmf=JointPmf(m, q, x), objective=objective, iterations=iterations,
-                     basis_size=len(basis), duals=dual_table)
+                     duals=dual_table)
     return sol, bland_from
 
 

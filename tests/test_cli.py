@@ -203,6 +203,93 @@ def test_one_cost_tensor_per_call_or_sweep_point(
     assert len(built) == len(set(built)) == tensors
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("built per call")
+
+
+class TestOneParserPerProcess:
+    """`run` parses with the parser built at import, and the entropy layer
+    reads the quadrature rule computed at import."""
+
+    def test_no_parser_or_rule_built_per_call(self, binary_spec_file, tmp_path, monkeypatch, capsys):
+        path = binary_spec_file(noise=0.1)
+        code = tmp_path / "code.txt"
+        code.write_text("1 2\n2 1\n")
+        commands = [
+            ["capacity", path], ["uniform", path], ["assign", path], ["noisefree", path],
+            ["simulate", path, "--code", str(code), "--trials", "20000", "--seed", "3"],
+            ["sweep", path, "--snr-db=0:10:5", "--with-ba"],
+        ]
+
+        def outputs():
+            got = []
+            for argv in commands:
+                assert run(argv) == EXIT_OK
+                got.append(capsys.readouterr())
+            return got
+
+        before = outputs()
+        # A memo filled by the calls above would hide per-call construction.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("causalprecode"):
+                for fn in vars(module).values():
+                    if hasattr(fn, "cache_clear"):
+                        fn.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", _refuse)
+        monkeypatch.setattr(entropy, "leggauss", _refuse)
+        assert outputs() == before
+
+    def test_assign_to_a_file_then_to_stdout(self, binary_spec_file, tmp_path, capsys):
+        path = binary_spec_file(noise=0.1)
+        out = tmp_path / "code.txt"
+        assert run(["assign", path, "--out", str(out)]) == EXIT_OK
+        assert f"code file written: {out}" in capsys.readouterr().out
+        assert run(["assign", path]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "code file written" not in printed
+        assert printed.endswith(out.read_text())
+
+    def test_simulate_with_workers_then_the_default(self, binary_spec_file, tmp_path, capsys):
+        path = binary_spec_file(noise=0.1)
+        code = tmp_path / "code.txt"
+        code.write_text("1 2\n2 1\n")
+        argv = ["simulate", path, "--code", str(code), "--trials", "40000", "--seed", "5"]
+        assert run(argv + ["--workers", "2"]) == EXIT_OK
+        with_workers = capsys.readouterr().out
+        parsed = []
+        simulate = sim.simulate
+
+        def recorded(*args, **kwargs):
+            parsed.append(kwargs["workers"])
+            return simulate(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "simulate", recorded)
+            assert run(argv) == EXIT_OK
+        assert parsed == [1]
+        assert capsys.readouterr().out == with_workers
+
+    def test_sweep_with_ba_then_without(self, binary_spec_file, capsys):
+        path = binary_spec_file()
+        assert run(["sweep", path, "--snr-db=0:10:5", "--with-ba"]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert all(row[2] != "" for row in rows)
+        assert run(["sweep", path, "--snr-db=0:10:5"]) == EXIT_OK
+        plain = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert len(plain) == 3
+        assert all(row[2] == "" for row in plain)
+        assert [row[:2] + row[3:] for row in plain] == [row[:2] + row[3:] for row in rows]
+
+    def test_usage_error_then_a_valid_call(self, binary_spec_file, capsys):
+        path = binary_spec_file(noise=0.1)
+        assert run(["uniform", path]) == EXIT_OK
+        valid = capsys.readouterr().out
+        assert run(["uniform", path, "--tol", "1"]) == EXIT_BAD_INPUT
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        assert run(["uniform", path]) == EXIT_OK
+        assert capsys.readouterr().out == valid
+
+
 class TestSimulateCommand:
     def test_assign_then_simulate(self, binary_spec_file, tmp_path, capsys):
         path = binary_spec_file(noise=0.01)
@@ -553,6 +640,28 @@ class TestSweepCommand:
         assert len(calls) == 5
         assignment = assign.multidim_assignment
         monkeypatch.setattr(assign, "multidim_assignment", lambda costs, lp: assignment(costs))
+        assert run(argv) == EXIT_OK
+        assert len(calls) == 5 + 10
+        assert capsys.readouterr().out == once
+
+    def test_one_uniform_lp_per_point_with_ba(self, tmp_path, monkeypatch, capsys):
+        # The capacity starts from the point's uniform LP instead of solving
+        # it again, and the CSV is the same as when it did.
+        path = tmp_path / "rand3x3.spec"
+        path.write_text(format_spec_text(random_spec(np.random.default_rng(0), 3, 3, 0.05)))
+        argv = ["sweep", str(path), "--snr-db=0:20:5", "--with-ba"]
+        calls = []
+        solve = optimize.solve_uniform_lp
+        monkeypatch.setattr(
+            optimize, "solve_uniform_lp", lambda costs: calls.append(1) or solve(costs)
+        )
+        assert run(argv) == EXIT_OK
+        once = capsys.readouterr().out
+        assert len(calls) == 5
+        capacity = optimize.capacity
+        monkeypatch.setattr(
+            optimize, "capacity", lambda spec, costs, lp: capacity(spec, costs=costs)
+        )
         assert run(argv) == EXIT_OK
         assert len(calls) == 5 + 10
         assert capsys.readouterr().out == once

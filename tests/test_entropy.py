@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from causalprecode import (
     Assignment,
@@ -535,6 +536,9 @@ def _rule_entropies(panel_sigmas, nodes_per_panel):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(entropy, "_PANEL_SIGMAS", panel_sigmas)
         patch.setattr(entropy, "_NODES_PER_PANEL", nodes_per_panel)
+        nodes, weights = leggauss(nodes_per_panel)
+        patch.setattr(entropy, "_RULE_NODES", nodes)
+        patch.setattr(entropy, "_RULE_WEIGHTS", weights)
         ladder = np.concatenate([cost_tensor(spec).values.ravel() for spec in _scan_specs()])
         stress = entropy._mixture_entropies(*_stress_mixtures(), 1.0)
     return ladder, stress

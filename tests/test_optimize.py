@@ -109,7 +109,6 @@ class TestMarginalLp:
             ).max()
             assert residual < 1e-8
             assert len(sol.pmf.support()) <= m * q - q + 1
-            assert sol.basis_size == m * q - q + 1
 
     def test_duals_price_every_symbol(self):
         """Reduced costs h_t - sum_j u[t_j, j] are >= -1e-10 (the pricing
@@ -614,7 +613,7 @@ class TestCapacity:
         costs = cost_tensor(spec)
         everything = JointPmf(2, 2, np.asarray([0.1, 0.2, 0.3, 0.4]))
         monkeypatch.setattr(optimize, "solve_uniform_lp",
-                            lambda c: LpSolution(everything, 0.0, 0, 4, np.zeros((2, 2))))
+                            lambda c: LpSolution(everything, 0.0, 0, np.zeros((2, 2))))
         channel = _AssociatedChannel(spec, costs)
         div = channel.prices(np.arange(4), everything.probs)[1]
         pricings = []
@@ -652,7 +651,7 @@ class TestCapacity:
         spec = binary_spec(noise_power=0.5)
         everything = JointPmf.uniform(2, 2)
         monkeypatch.setattr(optimize, "solve_uniform_lp",
-                            lambda c: LpSolution(everything, 0.0, 0, 4, np.zeros((2, 2))))
+                            lambda c: LpSolution(everything, 0.0, 0, np.zeros((2, 2))))
         monkeypatch.setattr(optimize, "_independent", lambda channel, support, p_s, div: (
             support, p_s, _incidence(support, channel.m, channel.q)))
         with pytest.raises(RuntimeError, match="beyond MQ - Q \\+ 1"):
@@ -709,6 +708,17 @@ class TestCapacity:
         for tol in (math.nan, 0.0, -1.0, math.inf):  # no tolerance that can never be met
             with pytest.raises(ValueError, match="tol"):
                 capacity(spec, costs, tol=tol)
+
+    def test_starts_from_the_callers_uniform_lp(self):
+        spec = _random_43_specs()[0]
+        costs = cost_tensor(spec)
+        own = capacity(spec, costs)
+        given = capacity(spec, costs, lp=solve_uniform_lp(costs))
+        assert given.pmf.probs.tobytes() == own.pmf.probs.tobytes()
+        assert (given.capacity_bits, given.iterations) == (own.capacity_bits, own.iterations)
+        other = solve_uniform_lp(random_costs(np.random.default_rng(0), 3, 3))
+        with pytest.raises(ValueError, match="uniform LP shape"):
+            capacity(spec, costs, lp=other)
 
     def test_budget_checked_before_any_work(self):
         with pytest.raises(BudgetExceededError, match="nodes x MQ"):
