@@ -211,8 +211,7 @@ def _cmd_capacity(args) -> int:
           f"bound {spec.m * spec.q - spec.q + 1}):")
     for t in pmf.support():
         print(f"  ({_symbol_str(t)})  p={_fmt(pmf.prob(t))}")
-    print("support-reduced mutual information bits: "
-          f"{_fmt(_entropy.mutual_information(pmf, spec, costs=costs))}")
+    print(f"support-reduced mutual information bits: {_fmt(result.capacity_bits)}")
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -331,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("capacity", help="certified capacity (active-set Newton) + support reduction")
+    p = sub.add_parser("capacity",
+                       help="certified capacity (active-set Newton), pmf on <= MQ - Q + 1 symbols")
     p.add_argument("specfile")
     p.add_argument("--tol", type=float, default=1e-7,
                    help="width of the certified interval, nats")

@@ -147,23 +147,11 @@ def _incidence(ranks: np.ndarray, m: int, q: int) -> np.ndarray:
     return b
 
 
-def _minus_marginal_sums(tensor: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """tensor[t] - sum_j table[t_j, j] for every symbol t, in place on the
-    (M,)*Q `tensor`, state by state; returns it flat. Only the capacity
-    solver's prices use it: the printed capacity pmf depends on this
-    rounding, where `_dual_sums` would move its last digits."""
-    m, q = table.shape
-    for j in range(q):
-        tensor -= table[:, j].reshape((m,) + (1,) * (q - 1 - j))
-    return tensor.reshape(-1)
-
-
 def _dual_sums(table: np.ndarray) -> np.ndarray:
     """sum_j table[t_j, j] for every symbol t, flat in rank order: one outer
     sum per state from the last, so each pass runs along the longest axis.
-    The simplex and the assignment price with it, in fewer passes than
-    `_minus_marginal_sums` takes; the capacity solver keeps the latter,
-    because only the capacity pmf depends on its state-by-state rounding."""
+    The one pricing kernel: the simplex, the assignment and the capacity
+    solver's prices all go through it."""
     m, q = table.shape
     sums = table[:, q - 1]
     for j in range(q - 2, -1, -1):
@@ -500,8 +488,7 @@ class _AssociatedChannel:
         self.log_r = np.log(np.tile(spec.interference_probs, self.m)) - 0.5 * math.log(2 * math.pi)
         self.g = self._log_components(slice(None))
         np.exp(self.g, out=self.g)  # in place: the table can be large
-        self.costs = costs.values - math.log(sigma)
-        self.h = self.costs.reshape(-1)
+        self.h = costs.values.reshape(-1) - math.log(sigma)
         # Distinct-mean image: row l of `image` gives, per column, the weight
         # r_j it puts on the l-th distinct mean x_i + s_j.
         means = np.add.outer(spec.constellation, spec.interference_levels).reshape(-1)
@@ -526,7 +513,7 @@ class _AssociatedChannel:
         """Output density on the nodes, and every symbol's D_t = KL(f_t || p_Y) in nats.
 
         D_t = -h_t - sum_j G[t_j, j] with G[i, j] = sum_y w r_j phi(y - x_i - s_j) ln p_Y(y),
-        broadcast over the (M,)*Q cost tensor. Where g u underflows, ln p_Y
+        the sums over j taken by `_dual_sums`. Where g u underflows, ln p_Y
         is a log-sum-exp over the columns u weights, never ln 0 or a floor:
         a floor would make D_t too small there, and max_t D_t no bound.
         """
@@ -542,7 +529,7 @@ class _AssociatedChannel:
             top = terms.max(axis=1)
             log_p_y[holes] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
         table = ((self.weights * log_p_y) @ self.g).reshape(self.m, self.q)
-        return p_y, _minus_marginal_sums(np.negative(self.costs), table)
+        return p_y, -(self.h + _dual_sums(table))
 
     def hessian(self, b: np.ndarray, p_y: np.ndarray) -> np.ndarray:
         """B^T K B with K = g^T diag(w / p_Y) g, as (gB)^T diag(w / p_Y) (gB):

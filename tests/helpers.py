@@ -215,7 +215,10 @@ def dense_marginal_lp(costs: CostTensor, targets: MarginalSet) -> tuple[LpSoluti
     while True:
         x_basic = np.linalg.solve(basis_mat, b_rows)
         duals[rows] = np.linalg.solve(basis_mat.T, c[basis])
-        reduced = opt._minus_marginal_sums(costs.values.copy(), dual_table)
+        reduced = costs.values.copy()
+        for j in range(q):  # state by state, in place on the (M,)*Q tensor
+            reduced -= dual_table[:, j].reshape((m,) + (1,) * (q - 1 - j))
+        reduced = reduced.reshape(-1)
         reduced[basis] = 0.0
         if bland_from is not None:
             candidates = np.nonzero(reduced < -opt._RC_TOL)[0]

@@ -394,6 +394,18 @@ class TestCapacityCommand:
         assert lines[3:3 + len(support)] == [
             f"  ({cli._symbol_str(t)})  p={cli._fmt(result.pmf.prob(t))}" for t in support]
 
+    def test_prints_the_solvers_own_mutual_information(
+        self, binary_spec_file, monkeypatch, capsys
+    ):
+        # The MI line is the I(p) the solver certified: no h(Y) is integrated again.
+        monkeypatch.setattr(entropy, "mutual_information", _refuse)
+        monkeypatch.setattr(entropy, "output_entropy", _refuse)
+        assert run(["capacity", binary_spec_file(noise=0.1)]) == EXIT_OK
+        out = capsys.readouterr().out
+        capacity = out.split("capacity_bits (discretized channel): ")[1].split()[0]
+        reduced = out.split("support-reduced mutual information bits: ")[1].split()[0]
+        assert capacity == reduced
+
     def test_nonconvergence_exit(self, binary_spec_file, capsys):
         path = binary_spec_file(noise=0.1)
         assert run(["capacity", path, "--max-iter", "1"]) == EXIT_NO_CONVERGENCE

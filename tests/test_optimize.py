@@ -23,6 +23,7 @@ from causalprecode import (
 from causalprecode import optimize
 from causalprecode.optimize import (
     _AssociatedChannel,
+    _dual_sums,
     _incidence,
     _northwest_corner,
     _null_space,
@@ -513,8 +514,46 @@ def _random_43_specs():
     return [random_spec(rng, 4, 3, noise_power=0.05) for _ in range(16)]
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_dual_sums_is_the_sum_over_states(m, q):
+    # Each symbol's sum, by an explicit loop, within a few ulps of its terms.
+    table = np.random.default_rng(10 * m + q).normal(size=(m, q))
+    sums = _dual_sums(table)
+    assert sums.shape == (m ** q,)
+    for rank, t in enumerate(np.ndindex((m,) * q)):
+        terms = [table[t_j, j] for j, t_j in enumerate(t)]
+        bound = 4 * np.finfo(float).eps * sum(abs(x) for x in terms)
+        assert abs(sums[rank] - math.fsum(terms)) <= bound
+
+
 class TestCapacity:
     TOL_BITS = 1e-7 / math.log(2.0)  # the default tol, in bits
+
+    @pytest.mark.parametrize("m,q", [(4, 1), (3, 2), (3, 3), (2, 4), (3, 4)])
+    def test_prices_match_an_independent_evaluation(self, m, q):
+        # D_t = -(h_t - ln sigma) - sum_j G[t_j, j], with G = (w ln p_Y) @ g
+        # per (letter, state), summed symbol by symbol over its letters.
+        rng = np.random.default_rng(m + 7 * q)
+        spec = random_spec(rng, m, q, noise_power=0.3)
+        costs = cost_tensor(spec)
+        channel = _AssociatedChannel(spec, costs)
+        support = rng.choice(m ** q, size=min(m ** q, 5), replace=False)
+        p_s = rng.dirichlet(np.ones(len(support)))
+        u = np.zeros(m * q)
+        for t, p in zip(support, p_s):
+            for j, i in enumerate(np.unravel_index(t, (m,) * q)):
+                u[i * q + j] += p
+        p_y = channel.g @ u
+        assert (p_y > 0.0).all()
+        g_table = ((channel.weights * np.log(p_y)) @ channel.g).reshape(m, q)
+        h = costs.values.reshape(-1) - 0.5 * math.log(spec.noise_power)
+        expected = [-h[t] - math.fsum(g_table[i, j] for j, i in
+                                      enumerate(np.unravel_index(t, (m,) * q)))
+                    for t in range(m ** q)]
+        got_p_y, div = channel.prices(support, p_s)
+        assert np.abs(got_p_y - p_y).max() <= 1e-15
+        assert np.abs(div - expected).max() <= 1e-12
 
     def _certified(self, result):
         assert result.converged
