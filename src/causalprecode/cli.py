@@ -118,39 +118,51 @@ def _sweep_assignments(spec: ChannelSpec) -> dict[str, tuple[tuple[int, ...], ..
     return None
 
 
-def sweep_point(
-    spec: ChannelSpec,
-    snr_db: float,
+def sweep_specs(spec: ChannelSpec, snrs: list[float]) -> list[ChannelSpec]:
+    """The spec of every sweep point: `spec` at the noise power of each SNR.
+    Raises ValueError if no positive finite noise power gives an SNR."""
+    return [replace(spec, noise_power=noise_power_for_snr_db(spec.constellation, snr))
+            for snr in snrs]
+
+
+def sweep_points(
+    points: list[ChannelSpec],
+    snrs: list[float],
     with_ba: bool,
     assignments: dict[str, tuple[tuple[int, ...], ...]] | None,
-) -> SweepRow:
-    point = replace(
-        spec, noise_power=noise_power_for_snr_db(spec.constellation, snr_db)
-    )
-    costs = _entropy.cost_tensor(point)
-    lp = _optimize.solve_uniform_lp(costs)
-    # The LP optimum and every assignment have uniform marginals, so they
-    # share one h(Y) and each rate is h(Y) minus its mean cost.
-    h_y = _entropy.output_entropy(MarginalSet.uniform(point.m, point.q), point)
-    if assignments is None:
-        tuples = _assign.multidim_assignment(costs, lp).tuples
-        assignments = {assignment_id(tuples): tuples}
-    rates = {
-        aid: (h_y - math.fsum(costs.entry(t) for t in tuples) / point.m) / LN2
-        for aid, tuples in assignments.items()
-    }
-    chosen = max(sorted(rates), key=lambda aid: rates[aid])
-    ba = None
-    if with_ba:
-        ba = _optimize.capacity(point, costs=costs, lp=lp)
-    return SweepRow(
-        snr_db=snr_db,
-        rate_per_assignment=rates,
-        lp_rate_bits=(h_y - lp.objective) / LN2,
-        ba_capacity_bits=None if ba is None else ba.capacity_bits,
-        chosen_assignment=chosen,
-        ba_converged=ba is None or ba.converged,
-    )
+) -> list[SweepRow]:
+    """One row per sweep point, `points[k]` the spec at `snrs[k]` dB.
+
+    The LP optimum and every assignment have uniform marginals, so a point's
+    rates share one h(Y), and each is h(Y) minus its mean cost. Those h(Y)
+    differ only in sigma, and `output_entropies` takes them all in stacked
+    calls. Each point builds its own cost tensor, which its LP, rates and
+    capacity read.
+    """
+    h_ys = _entropy.output_entropies(MarginalSet.uniform(points[0].m, points[0].q), points)
+    rows = []
+    for snr_db, point, h_y in zip(snrs, points, h_ys):
+        costs = _entropy.cost_tensor(point)
+        lp = _optimize.solve_uniform_lp(costs)
+        tuples_by_id = assignments
+        if tuples_by_id is None:
+            tuples = _assign.multidim_assignment(costs, lp).tuples
+            tuples_by_id = {assignment_id(tuples): tuples}
+        rates = {
+            aid: (h_y - math.fsum(costs.entry(t) for t in tuples) / point.m) / LN2
+            for aid, tuples in tuples_by_id.items()
+        }
+        chosen = max(sorted(rates), key=lambda aid: rates[aid])
+        ba = _optimize.capacity(point, costs=costs, lp=lp) if with_ba else None
+        rows.append(SweepRow(
+            snr_db=snr_db,
+            rate_per_assignment=rates,
+            lp_rate_bits=(h_y - lp.objective) / LN2,
+            ba_capacity_bits=None if ba is None else ba.capacity_bits,
+            chosen_assignment=chosen,
+            ba_converged=ba is None or ba.converged,
+        ))
+    return rows
 
 
 def sweep_csv(rows: list[SweepRow], ids: Collection[str] | None) -> str:
@@ -288,12 +300,13 @@ def _cmd_sweep(args) -> int:
     spec = load_spec(args.specfile)
     _optimize.check_marginal_budget(spec.m, spec.q)
     snrs = _parse_snr_range(args.snr_db)
-    for snr in snrs:  # each point's noise power and capacity, before any point's work
-        noise = noise_power_for_snr_db(spec.constellation, snr)
-        if args.with_ba:
-            _optimize.check_capacity_budget(replace(spec, noise_power=noise))
+    # Every point's noise power, and its capacity budget, before any point's work.
+    points = sweep_specs(spec, snrs)
+    if args.with_ba:
+        for point in points:
+            _optimize.check_capacity_budget(point)
     assignments = _sweep_assignments(spec)
-    rows = [sweep_point(spec, s, args.with_ba, assignments) for s in snrs]
+    rows = sweep_points(points, snrs, args.with_ba, assignments)
     text = sweep_csv(rows, assignments)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -6,19 +6,22 @@ computes the entropy h(Y) of the output induced by per-state marginals,
 the tensor of conditional differential entropies h_{i_1...i_Q}, and
 I(T;Y) = h(Y) - sum_t p(t) h_t. `cost_tensor` is the only function that
 evaluates h_t, always for every symbol; `mutual_information` and the
-solvers take its tensor.
+solvers take its tensor. `output_entropies` is the only function that
+integrates h(Y), for many specs at once (a sweep's points, which differ only
+in sigma); `output_entropy` is its one-spec case.
 
 Mixture entropies go through one kernel, `_mixture_entropies`: each
-mixture is split where neighbouring means lie more than 20 sigma apart, and
-h = sum_c W_c h_c + H(W) over its clusters. A cluster's h_c is closed form
-for a single Gaussian, and otherwise an integral computed once per distinct
-cluster shape, so the cost does not grow with SNR. The capacity solver's
-output grid, `_output_grid`, is cut the same way: the MQ output means split
-into clusters, each on its own panels in sigma units. Every panel is one
-sigma wide and carries 16 Gauss-Legendre nodes, a rule chosen by a scan
-against 64 nodes per sigma/2 (see _NODES_PER_PANEL). The rule's nodes and
-weights on [-1, 1] are read-only module arrays, computed once at import.
-No function takes a grid.
+mixture is split where neighbouring means lie more than 20 of its sigmas
+apart, and h = sum_c W_c h_c + H(W) + ln sigma over its clusters. A
+cluster's h_c, in sigma units, is closed form for a single Gaussian, and
+otherwise an integral computed once per distinct cluster shape, however
+many mixtures or sigmas share it, so the cost does not grow with SNR. The
+capacity solver's output grid, `_output_grid`, is cut the same way: the MQ
+output means split into clusters, each on its own panels in sigma units.
+Every panel is one sigma wide and carries 16 Gauss-Legendre nodes, a rule
+chosen by a scan against 64 nodes per sigma/2 (see _NODES_PER_PANEL). The
+rule's nodes and weights on [-1, 1] are read-only module arrays, computed
+once at import. No function takes a grid.
 
 All internal entropies are in nats; conversion to bits happens only at API
 boundaries.
@@ -27,6 +30,7 @@ boundaries.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +72,15 @@ _STANDARD_ENTROPY = 0.5 * math.log(2.0 * math.pi * math.e)
 # (512 kB), so it stays in L2 cache from the exps through the log to the
 # product with the weights.
 _BLOCK_ELEMENTS = 1 << 16
+
+# Output-mixture components per stacked call of `output_entropies`. Over
+# two runs, the h(Y) of a 66-point sweep (-5:60:1 dB) of random 128/2 took
+# 58-59 ms one point per call, 55-56 ms at 2^10 components (4 points) per
+# call, 67-94 ms at 2^12 and 81-127 ms in one call, which pads every
+# distinct cluster to the most components any cluster has; binary took
+# 5.9-7.3 ms one point per call and 0.45-0.55 ms at 2^10 (all 66). Intel
+# Xeon (2-core shared VM), numpy 2.4, one BLAS thread.
+_STACK_COMPONENTS = 1 << 10
 
 # Largest exponent of the middle factor in `_standard_entropies`; e^700 is
 # finite, and wherever the cap binds the first factor is exactly 0.
@@ -141,14 +154,15 @@ class CostTensor:
         return float(self.values[tuple(i - 1 for i in symbol)])
 
 
-def _check_floor(values: np.ndarray, sigma: float) -> None:
+def _check_floor(values: np.ndarray) -> None:
     """A mixture's entropy is at least its component entropy; falling below
-    it means the grid does not cover the densities."""
-    floor = gaussian_entropy(sigma * sigma)
-    if values.min() < floor - 1e-9:
+    it means the grid does not cover the densities. `values` are entropies
+    of unit-variance mixtures, so the floor is that of every sigma."""
+    if values.min() < _STANDARD_ENTROPY - 1e-9:
         raise ValueError(
             f"entropy {values.min():.6g} below the Gaussian floor "
-            f"{floor:.6g}; the quadrature grid does not cover the density"
+            f"{_STANDARD_ENTROPY:.6g} (unit noise variance); the quadrature grid "
+            f"does not cover the density"
         )
 
 
@@ -218,12 +232,13 @@ class _ClusterSplit:
     """Gaussian mixtures split into separated clusters (see _mixture_entropies).
 
     Cluster c belongs to mixture `row[c]` (every mixture has one at least)
-    and carries its weight `mass[c]`; `shape[c]` indexes its offsets and
-    renormalized weights among the distinct ones, or is -1 for a single
-    Gaussian.
+    and carries its weight `mass[c]`; `shape[c]` indexes its offsets, in
+    its mixture's sigmas, and renormalized weights among the distinct ones,
+    or is -1 for a single Gaussian. Clusters of different sigmas share a
+    distinct shape.
     """
 
-    sigma: float
+    log_sigma: float | np.ndarray  # ln sigma, for all mixtures or one per mixture
     row: np.ndarray
     mass: np.ndarray
     shape: np.ndarray
@@ -232,20 +247,22 @@ class _ClusterSplit:
     panels: np.ndarray  # (D,)
 
     def entropies(self) -> np.ndarray:
-        """One entropy in nats per mixture: sum_c W_c h_c + H(W)."""
+        """One entropy in nats per mixture: sum_c W_c h_c + H(W) + ln sigma."""
         distinct = _standard_entropies(self.offsets, self.shares, self.panels)
         if distinct.size:
-            _check_floor(distinct + math.log(self.sigma), self.sigma)
+            _check_floor(distinct)
         h = np.full(self.shape.size, _STANDARD_ENTROPY)
         spread = self.shape >= 0
         h[spread] = distinct[self.shape[spread]]
         terms = self.mass * (h - np.log(self.mass))
-        return np.bincount(self.row, weights=terms) + math.log(self.sigma)
+        return np.bincount(self.row, weights=terms) + self.log_sigma
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of `a` (exact float equality) and each row's index
     among them; one lexicographic sort, cheaper than np.unique(axis=0)."""
+    if len(a) < 2:  # a single output mixture's one spread cluster: no sort
+        return a, np.zeros(len(a), dtype=int)
     order = np.lexsort(a.T)
     ranked = a[order]
     new = np.ones(len(a), dtype=bool)
@@ -255,14 +272,21 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[new], inverse
 
 
-def _cluster_split(means: np.ndarray, weights: np.ndarray, sigma: float) -> _ClusterSplit:
-    """Split the mixtures sum_j weights[k, j] N(means[k, j], sigma^2), one per row k.
+def _cluster_split(means: np.ndarray, weights: np.ndarray,
+                   sigma: float | np.ndarray) -> _ClusterSplit:
+    """Split the mixtures sum_j weights[k, j] N(means[k, j], sigma[k]^2), one per row k.
 
+    `sigma` holds one noise sigma per row, or is a scalar for every row.
     Each row is sorted, its zero-weight components dropped, and cut wherever
-    neighbouring means lie more than _SPLIT_SIGMAS sigmas apart.
+    neighbouring means lie more than _SPLIT_SIGMAS of its sigmas apart.
+    ln sigma is one math.log per sigma given, the same bits for a sigma
+    given alone as a scalar or in an array.
     """
     means = np.asarray(means, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim and sigma.shape != means.shape[:1]:
+        raise ValueError("give one sigma per mixture, or one for all")
     if not (np.isfinite(means).all() and np.isfinite(weights).all()) or (weights < 0.0).any():
         raise ValueError("mixture means and weights must be finite, the weights nonnegative")
     live = weights > 0.0
@@ -273,15 +297,17 @@ def _cluster_split(means: np.ndarray, weights: np.ndarray, sigma: float) -> _Clu
     mu = np.take_along_axis(means, order, axis=1)[keep]
     w = np.take_along_axis(weights, order, axis=1)[keep]
     row = np.nonzero(keep)[0]
+    scale = sigma[row] if sigma.ndim else sigma  # per component, or one for all
+    gap = _SPLIT_SIGMAS * scale
     first = np.ones(mu.size, dtype=bool)
-    first[1:] = (row[1:] != row[:-1]) | (np.diff(mu) > _SPLIT_SIGMAS * sigma)
+    first[1:] = (row[1:] != row[:-1]) | (mu[1:] - mu[:-1] > (gap[1:] if sigma.ndim else gap))
     starts = np.flatnonzero(first)
     cluster = np.cumsum(first) - 1
     mass = np.add.reduceat(w, starts)
     pos = np.arange(mu.size) - starts[cluster]
     width = int(pos.max()) + 1
     keys = np.zeros((starts.size, 2, width))
-    keys[cluster, 0, pos] = (mu - mu[starts][cluster]) / sigma
+    keys[cluster, 0, pos] = (mu - mu[starts][cluster]) / scale
     keys[cluster, 1, pos] = w / mass[cluster]
     # A cluster whose means coincide is one Gaussian; the others are keyed
     # on their offsets and shares, 0-padded to a common width.
@@ -291,11 +317,14 @@ def _cluster_split(means: np.ndarray, weights: np.ndarray, sigma: float) -> _Clu
     shape[spread] = inverse
     offsets, shares = distinct[:, :width], distinct[:, width:]
     panels = _panels(offsets.max(axis=1) + 2 * _WINDOW_SIGMAS)
-    return _ClusterSplit(sigma, row[starts], mass, shape, offsets, shares, panels)
+    log_sigma = np.array([math.log(v) for v in sigma.tolist()]) if sigma.ndim else math.log(sigma)
+    return _ClusterSplit(log_sigma, row[starts], mass, shape, offsets, shares, panels)
 
 
-def _mixture_entropies(means: np.ndarray, weights: np.ndarray, sigma: float) -> np.ndarray:
-    """Entropies in nats of the mixtures sum_j weights[k, j] N(means[k, j], sigma^2).
+def _mixture_entropies(means: np.ndarray, weights: np.ndarray,
+                       sigma: float | np.ndarray) -> np.ndarray:
+    """Entropies in nats of the mixtures sum_j weights[k, j] N(means[k, j], sigma[k]^2),
+    with one sigma per row or a scalar for all.
 
     Clusters more than _SPLIT_SIGMAS sigmas apart overlap below e^-50, so a
     mixture with cluster weights W_c has entropy sum_c W_c h_c + H(W), where
@@ -361,16 +390,34 @@ def cost_tensor(spec: ChannelSpec) -> CostTensor:
     return CostTensor(_mixture_entropies(means, weights, sigma).reshape(shape))
 
 
-def output_entropy(marginals: MarginalSet, spec: ChannelSpec) -> float:
-    """h(Y) in nats for inputs with the given per-state marginals.
+def output_entropies(marginals: MarginalSet, specs: Sequence[ChannelSpec]) -> np.ndarray:
+    """h(Y) in nats under each spec, for inputs with the given per-state marginals.
 
-    The MQ-component output mixture goes through the cluster split.
+    Each spec's MQ-component output mixture is one row of the cluster split,
+    with its own sigma; the rows go through it in stacked calls of at most
+    _STACK_COMPONENTS components, so the specs share one call's set-up and
+    their distinct cluster shapes.
     """
-    if marginals.m != spec.m or marginals.q != spec.q:
+    if any(marginals.m != spec.m or marginals.q != spec.q for spec in specs):
         raise ValueError("marginal shape does not match the channel spec")
-    means = np.add.outer(spec.interference_levels, spec.constellation).reshape(1, -1)
-    weights = (np.asarray(spec.interference_probs)[:, None] * marginals.per_state).reshape(1, -1)
-    return float(_mixture_entropies(means, weights, _sigma(spec))[0])
+    k = len(specs)
+    levels = np.array([spec.interference_levels for spec in specs])[:, :, None]
+    means = (levels + np.array([spec.constellation for spec in specs])[:, None, :]).reshape(k, -1)
+    probs = np.array([spec.interference_probs for spec in specs])[:, :, None]
+    weights = (probs * marginals.per_state).reshape(k, -1)
+    sigma = np.array([_sigma(spec) for spec in specs])
+    step = max(1, _STACK_COMPONENTS // (marginals.m * marginals.q))
+    h = np.empty(k)
+    for lo in range(0, k, step):
+        rows = slice(lo, lo + step)
+        h[rows] = _mixture_entropies(means[rows], weights[rows], sigma[rows])
+    return h
+
+
+def output_entropy(marginals: MarginalSet, spec: ChannelSpec) -> float:
+    """h(Y) in nats for inputs with the given per-state marginals: the
+    one-spec case of `output_entropies`."""
+    return float(output_entropies(marginals, [spec])[0])
 
 
 def mutual_information(p: JointPmf, spec: ChannelSpec, costs: CostTensor) -> float:

@@ -42,8 +42,8 @@ def test_criterion_1_fig2_sweep():
     snrs = [-5.0 + 0.5 * k for k in range(61)]
     assignments = {ID_LOW: ((1, 1), (2, 2)), ID_HIGH: ((1, 2), (2, 1))}
     t0 = time.time()
-    rows = [cli.sweep_point(spec, snr, with_ba=False, assignments=assignments)
-            for snr in snrs]
+    rows = cli.sweep_points(cli.sweep_specs(spec, snrs), snrs, with_ba=False,
+                            assignments=assignments)
     elapsed = time.time() - t0
 
     diffs = [r.rate_per_assignment[ID_HIGH] - r.rate_per_assignment[ID_LOW] for r in rows]

@@ -203,6 +203,18 @@ def test_one_cost_tensor_per_call_or_sweep_point(
     assert len(built) == len(set(built)) == tensors
 
 
+@pytest.mark.parametrize("extra", [[], ["--with-ba"]], ids=["lp-only", "with-ba"])
+def test_one_stacked_output_entropy_per_sweep(extra, binary_spec_file, monkeypatch, capsys):
+    # A 66-point binary sweep splits 67 sets of mixtures: each point's cost
+    # tensor, 4 mixtures, and one stack of every point's h(Y).
+    rows = []
+    mixture = entropy._mixture_entropies
+    monkeypatch.setattr(entropy, "_mixture_entropies",
+                        lambda *args: rows.append(len(args[0])) or mixture(*args))
+    assert run(["sweep", binary_spec_file(), "--snr-db=-5:60:1", *extra]) == EXIT_OK
+    assert sorted(rows) == [4] * 66 + [66]
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("built per call")
 
@@ -400,6 +412,7 @@ class TestCapacityCommand:
         # The MI line is the I(p) the solver certified: no h(Y) is integrated again.
         monkeypatch.setattr(entropy, "mutual_information", _refuse)
         monkeypatch.setattr(entropy, "output_entropy", _refuse)
+        monkeypatch.setattr(entropy, "output_entropies", _refuse)
         assert run(["capacity", binary_spec_file(noise=0.1)]) == EXIT_OK
         out = capsys.readouterr().out
         capacity = out.split("capacity_bits (discretized channel): ")[1].split()[0]
@@ -503,7 +516,7 @@ class TestBadInput:
         def no_work(*args):
             raise AssertionError("sweep point computed before the budget check")
 
-        monkeypatch.setattr(cli, "sweep_point", no_work)
+        monkeypatch.setattr(cli, "sweep_points", no_work)
         tracemalloc.start()
         try:
             codes = [run(["capacity", chain_spec_file]),
@@ -612,7 +625,7 @@ class TestSweepCommand:
         def no_work(*args):
             raise AssertionError("sweep point computed before the noise powers")
 
-        monkeypatch.setattr(cli, "sweep_point", no_work)
+        monkeypatch.setattr(cli, "sweep_points", no_work)
         assert run(["sweep", path, f"--snr-db={snr_db}"]) == EXIT_BAD_INPUT
         out, err = capsys.readouterr()
         assert out == ""
@@ -706,7 +719,7 @@ class TestSweepCommand:
         def no_work(*args):
             raise AssertionError("sweep point computed for an over-budget range")
 
-        monkeypatch.setattr(cli, "sweep_point", no_work)
+        monkeypatch.setattr(cli, "sweep_points", no_work)
         assert run(["sweep", path, "--snr-db=0:1e12:1e-9"]) == EXIT_BUDGET
         assert run(["sweep", path, "--snr-db=0:10000:1"]) == EXIT_BUDGET
         assert "10000 points" in capsys.readouterr().err
@@ -757,7 +770,7 @@ class TestWorkers:
     def test_sweep_has_no_workers_option(self, binary_spec_file, monkeypatch, capsys):
         # The sweep is serial: one worker beat two on every measured sweep.
         calls = []
-        monkeypatch.setattr(cli, "sweep_point", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "sweep_points", lambda *args: calls.append(args))
         path = binary_spec_file()
         assert run(["sweep", path, "--snr-db=0:2:1", "--workers", "2"]) == EXIT_BAD_INPUT
         assert "--workers" in capsys.readouterr().err
@@ -785,7 +798,7 @@ def test_sweep_rates_match_riemann(spec, snr_db):
     # assignment a rates h(Y) - (1/M) sum_{t in a} h_t, and for Q = 2 the LP
     # optimum is the best assignment (Birkhoff-von Neumann).
     assignments = cli._sweep_assignments(spec)
-    row = cli.sweep_point(spec, snr_db, False, assignments)
+    [row] = cli.sweep_points(cli.sweep_specs(spec, [snr_db]), [snr_db], False, assignments)
     var = noise_power_for_snr_db(spec.constellation, snr_db)
     x, s, r = spec.constellation, spec.interference_levels, spec.interference_probs
     pad = 12.0 * math.sqrt(var)

@@ -277,10 +277,10 @@ class TestMutualInformation:
         # Binary takes the all-permutations columns, Q = 3 the best-only one.
         for spec in (binary_spec(), random_spec(np.random.default_rng(7), 3, 3, 0.2)):
             assignments = cli._sweep_assignments(spec)
-            row = cli.sweep_point(spec, 10.0, False, assignments)
             point = replace(
                 spec, noise_power=noise_power_for_snr_db(spec.constellation, 10.0)
             )
+            [row] = cli.sweep_points([point], [10.0], False, assignments)
             if assignments is None:  # best-only: the optimal assignment's column
                 tuples = multidim_assignment(cost_tensor(point)).tuples
                 assignments = {cli.assignment_id(tuples): tuples}
@@ -481,6 +481,9 @@ class TestClusterSplit:
         monkeypatch.setattr(entropy, "_WINDOW_SIGMAS", 0.0)
         with pytest.raises(ValueError, match="Gaussian floor"):
             cost_tensor(binary_spec(noise_power=0.1))
+        with pytest.raises(ValueError, match="Gaussian floor"):
+            entropy.output_entropies(MarginalSet(np.eye(2)),
+                                     [binary_spec(noise_power=v) for v in (0.1, 0.2)])
 
     @pytest.mark.parametrize(
         "means,weights",
@@ -490,6 +493,78 @@ class TestClusterSplit:
     def test_bad_mixtures_rejected(self, means, weights):
         with pytest.raises(ValueError, match="finite|positive"):
             entropy._mixture_entropies(np.array(means), np.array(weights), 1.0)
+
+    def test_one_sigma_per_mixture_or_one_for_all(self):
+        means, weights = np.array([[0.0, 1.0], [0.0, 3.0]]), np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match="one sigma per mixture"):
+            entropy._mixture_entropies(means, weights, [1.0, 2.0, 3.0])
+        assert (entropy._mixture_entropies(means, weights, [2.0, 2.0]).tolist()
+                == entropy._mixture_entropies(means, weights, 2.0).tolist())
+
+
+def _stacked_and_single(marg, points, monkeypatch):
+    """h(Y) of every point from `output_entropies`, the number of cluster
+    splits it made, and h(Y) of each point alone."""
+    calls = []
+    mixture = entropy._mixture_entropies
+    with monkeypatch.context() as patch:
+        patch.setattr(entropy, "_mixture_entropies",
+                      lambda *args: calls.append(len(args[0])) or mixture(*args))
+        stacked = entropy.output_entropies(marg, points)
+    return stacked, calls, np.array([entropy.output_entropy(marg, p) for p in points])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStackedOutputEntropies:
+    """A sweep's h(Y) in stacked cluster splits of at most 2^10 components
+    are the h(Y) of its points one at a time."""
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["uniform", "zero-entries"])
+    def test_binary_sweep_longer_than_one_stack(self, zeros, monkeypatch):
+        spec = binary_spec()
+        points = cli.sweep_specs(spec, list(np.linspace(-5.0, 60.0, 300)))
+        marg = (MarginalSet(np.array([[1.0, 0.0], [0.25, 0.75]])) if zeros
+                else MarginalSet.uniform(2, 2))
+        stacked, calls, single = _stacked_and_single(marg, points, monkeypatch)
+        assert calls == [256, 44]  # 2^10 components of MQ = 4 per call
+        assert np.abs(stacked - single).max() <= 1e-13
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["uniform", "zero-entries"])
+    def test_random_128x2_four_points_per_stack(self, zeros, monkeypatch):
+        rng = np.random.default_rng(5)
+        spec = random_spec(rng, 128, 2, 1.0)
+        points = cli.sweep_specs(spec, [-5.0 + 5.0 * k for k in range(14)])
+        raw = rng.uniform(size=(2, 128)) * (rng.uniform(size=(2, 128)) < (0.6 if zeros else 2.0))
+        raw[:, 0] += 0.1
+        marg = MarginalSet(raw / raw.sum(axis=1, keepdims=True))
+        stacked, calls, single = _stacked_and_single(marg, points, monkeypatch)
+        assert calls == [4, 4, 4, 2]
+        assert np.abs(stacked - single).max() <= 1e-13
+
+    @pytest.mark.parametrize("spec", [binary_spec(), ChannelSpec(*PAM8Q4, 1.0)],
+                             ids=["binary", "pam8q4"])
+    def test_snrs_near_the_ends_of_a_double_in_one_stack(self, spec, monkeypatch):
+        # sigma from 1e150 down to 1e-150 in one call: at -3,000 dB every
+        # output mean coincides within 1e-149 sigma, at +3,000 dB each one
+        # stands alone.
+        snrs = [-3000.0, -2999.5, -2990.0, 0.0, 2990.0, 2999.5, 3000.0]
+        points = cli.sweep_specs(spec, snrs)
+        marg = MarginalSet.uniform(spec.m, spec.q)
+        stacked, calls, single = _stacked_and_single(marg, points, monkeypatch)
+        assert calls == [len(snrs)]
+        assert np.abs(stacked - single).max() <= 1e-13
+        # At +3,000 dB, h(Y) is the Gaussian entropy plus the entropy of the
+        # distinct output means.
+        means = np.add.outer(spec.interference_levels, spec.constellation).ravel()
+        weights = np.repeat(spec.interference_probs, spec.m) / spec.m
+        mass = np.array([weights[means == mu].sum() for mu in np.unique(means)])
+        assert stacked[-1] == pytest.approx(
+            gaussian_entropy(points[-1].noise_power) - float(mass @ np.log(mass)), abs=1e-12)
+
+    def test_specs_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="marginal shape"):
+            entropy.output_entropies(MarginalSet.uniform(2, 2),
+                                     [binary_spec(), ChannelSpec(*PAM8Q4, 1.0)])
 
 
 # The scan behind entropy's quadrature rule. Every entropy must lie within

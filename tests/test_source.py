@@ -41,6 +41,30 @@ def test_no_function_takes_a_grid():
     assert found == [], f"functions with a grid parameter: {found}"
 
 
+def _readers(node: ast.AST, name: str, scope: str = "<module>"):
+    """The innermost function around each reference to `name` under `node`,
+    or "<module>" outside every function."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Attribute) and child.attr == name):
+            yield scope
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _readers(child, name, inner)
+
+
+def test_one_h_t_path_and_one_h_y_path():
+    # The mixture-entropy kernel has two callers: `cost_tensor`, the only
+    # function that evaluates h_t, and `output_entropies`, the only one that
+    # integrates h(Y).
+    callers = {
+        f"{path.name}:{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope in _readers(ast.parse(path.read_text(encoding="utf-8"), str(path)),
+                              "_mixture_entropies")
+    }
+    assert callers == {"entropy.py:cost_tensor", "entropy.py:output_entropies"}, callers
+
+
 def test_only_sim_starts_threads():
     # Only `simulate`'s pool is measured to pay: a sweep at 2 workers lost to
     # 1 worker on every sweep measured.
